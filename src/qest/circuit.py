@@ -28,9 +28,27 @@ from .numerics import (
 
 NORM_TOL = 1e-10
 
+# Largest probe x main x ancilla state the simulator allocates (16 MiB of
+# complex amplitudes). Register sizes are checked against it before any
+# array of their size exists.
+MAX_STATE_DIM = 2 ** 20
+
 # Rotation slots with angles below this are dropped when a multiplexor is
 # expanded into explicit gates.
 ANGLE_EMIT_TOL = 1e-12
+
+
+def check_register_size(n_probe: int, main_dim: int = 2) -> None:
+    """Reject a probe count, or a register of 2^n_probe * main_dim * 2
+    amplitudes above MAX_STATE_DIM, before anything of that size exists."""
+    if not isinstance(n_probe, int) or n_probe < 1:
+        raise DomainError(f"n_probe must be an integer >= 1, got {n_probe}")
+    n_qubits = n_probe + (main_dim - 1).bit_length() + 1
+    if n_qubits > MAX_STATE_DIM.bit_length() - 1:
+        raise DomainError(
+            f"n_probe={n_probe} with main dimension {main_dim} needs 2^{n_qubits} "
+            f"amplitudes, above the cap {MAX_STATE_DIM}"
+        )
 
 
 @dataclass(frozen=True)
@@ -49,8 +67,7 @@ class CircuitConfig:
     f: FunctionSpec
 
     def __post_init__(self):
-        if not isinstance(self.n_probe, int) or self.n_probe < 1:
-            raise DomainError(f"n_probe must be an integer >= 1, got {self.n_probe}")
+        check_register_size(self.n_probe)
         if not np.isfinite(self.dt) or self.dt <= 0:
             raise DomainError(f"dt must be finite and > 0, got {self.dt}")
         if not np.isfinite(self.gamma) or self.gamma <= 0:
@@ -194,6 +211,7 @@ def prepare_initial_state(
         raise DomainError(f"main dimension {n_main_states} is not a power of two")
     if not 0 <= x0 < n_main_states:
         raise DomainError(f"x0={x0} out of range for dimension {n_main_states}")
+    check_register_size(config.n_probe, n_main_states)
     probe = np.full(config.n_slots, 1 / np.sqrt(config.n_slots), dtype=complex)
     ancilla = np.array([1.0, 0.0], dtype=complex)
     amps = np.kron(probe, np.kron(v.entries[:, x0], ancilla))

@@ -16,35 +16,28 @@ comment lines starting with '#'.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .circuit import (
+    check_register_size,
     compose_gate_unitary,
     expand_multiplexor,
-    leakage_amplitude,
     multiplexor_block,
-    run_tomography_circuit,
-)
-from .estimation import (
-    ancilla_zero_probability,
-    empirical_distribution,
-    estimate_diag_element,
-    sample_measurements,
 )
 from .numerics import (
     DomainError,
     FunctionSpec,
     HermitianOperator,
+    SpectralDecomposition,
     UnitaryOperator,
     eigendecompose,
-    exact_diag_element,
     matrix_from_json,
 )
 from .sampler import (
@@ -55,21 +48,15 @@ from .sampler import (
     szegedy_walk_operator,
 )
 from .scenarios import (
-    EstimateReport,
+    ORACLE_DIM_CAP,
     ScenarioSpec,
-    choose_dt,
-    choose_gamma,
+    circuit_config,
+    estimate_diagonal,
+    estimate_partition,
+    exact_oracle,
     run_scenario_mean,
-    run_scenario_partition,
-    shift_nonnegative,
-    signed_partition,
-    split_signed_coeffs,
-    trace_ratio,
 )
 from .synth import random_reversible_chain
-
-# Reports include a closed-form oracle comparison up to this dimension.
-ORACLE_DIM_CAP = 2 ** 6
 
 VERIFY_ANGLE_CAP = 2 ** 10
 
@@ -78,7 +65,7 @@ class ConfigError(ValueError):
     """The run configuration is missing, malformed, or inconsistent."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunManifest:
     """Provenance block embedded in every output."""
 
@@ -88,16 +75,6 @@ class RunManifest:
     output_path: str
     timestamp: str
     tool_version: str
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "config_path": self.config_path,
-            "seed": self.seed,
-            "output_path": self.output_path,
-            "timestamp": self.timestamp,
-            "tool_version": self.tool_version,
-        }
 
 
 def _now() -> str:
@@ -114,13 +91,58 @@ def _load_config(path: str):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+def _seed(value, name: str = "seed") -> int:
+    seed = _typed(value, int, name)
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{name} must fit in 64 bits, got {seed}")
+    return seed
+
+
+def _manifest(args, command: str, seed: int) -> RunManifest:
+    return RunManifest(command, args.config, seed, args.out or "-", _now(), __version__)
+
+
+def _start(args, command: str):
+    """Config object, its directory, the run seed and the manifest."""
+    cfg = _load_config(args.config)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
+    seed = _seed(args.seed if args.seed is not None else cfg.get("seed", 0))
+    return cfg, Path(args.config).parent, seed, _manifest(args, command, seed)
+
+
+def _typed(value, kind, name: str):
+    """value as an int (kind int) or float (kind float); JSON booleans,
+    strings and fractional ints are config errors."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (kind is int and isinstance(value, float) and not value.is_integer())
+    ):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _number(cfg: dict, key: str, kind, default=None):
+    """Typed value of cfg[key]; without a default the key is required."""
+    if default is None:
+        _require(cfg, key)
+    return _typed(cfg.get(key, default), kind, repr(key))
+
+
+def _auto_or_number(cfg: dict, key: str):
+    value = cfg.get(key, "auto")
+    return value if value == "auto" else _typed(value, float, repr(key))
+
+
 def _resolve_matrix(value, base: Path) -> np.ndarray:
     """Accept an inline matrix object or a path to a JSON file holding one."""
     if isinstance(value, str):
         try:
             with open(base / value) as fh:
                 value = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers bad JSON
             raise ConfigError(f"cannot load matrix file {value}: {exc}") from exc
     if not isinstance(value, dict):
         raise ConfigError(f"expected a matrix object or path, got {type(value).__name__}")
@@ -128,24 +150,26 @@ def _resolve_matrix(value, base: Path) -> np.ndarray:
 
 
 def _function_spec(value) -> FunctionSpec:
-    if isinstance(value, dict):
-        return FunctionSpec.from_json(value)
-    if isinstance(value, (list, tuple)):
-        return FunctionSpec.weighted_exponential(tuple(value), 0.0)
-    if isinstance(value, str):
-        return FunctionSpec.weighted_exponential(value, 0.0)
+    try:
+        if isinstance(value, dict):
+            return FunctionSpec.from_json(value)
+        if isinstance(value, (list, str)):
+            return FunctionSpec.weighted_exponential(value, 0.0)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot interpret function spec {value!r}: {exc}") from exc
     raise ConfigError(f"cannot interpret function spec {value!r}")
 
 
 def _observable(value, base: Path):
     """Spectral pair from either an explicit pair or a plain matrix."""
     if isinstance(value, dict) and "eigenvalues" in value:
-        u = UnitaryOperator(_resolve_matrix(value["basis_changer"], base))
-        vals = np.array(value["eigenvalues"], dtype=float)
+        u = UnitaryOperator(_resolve_matrix(_require(value, "basis_changer"), base))
+        try:
+            vals = np.array(value["eigenvalues"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"observable eigenvalues are not numbers: {exc}") from exc
         if vals.shape != (u.dim,):
             raise ConfigError("observable eigenvalue count does not match basis")
-        from .numerics import SpectralDecomposition
-
         return SpectralDecomposition(vals, u)
     return eigendecompose(HermitianOperator(_resolve_matrix(value, base)))
 
@@ -160,15 +184,15 @@ def _scenario_from_config(cfg: dict, base: Path, seed: int, n_sam) -> ScenarioSp
     kind = _require(cfg, "kind")
     kwargs = {
         "kind": kind,
-        "n_sam": int(n_sam if n_sam is not None else cfg.get("n_sam", 10000)),
+        "n_sam": n_sam if n_sam is not None else _number(cfg, "n_sam", int, 10000),
         "seed": seed,
-        "n_probe": int(cfg.get("n_probe", 4)),
-        "dt": cfg.get("dt", "auto"),
-        "gamma": cfg.get("gamma", "auto"),
-        "beta": float(cfg.get("beta", 0.0)),
+        "n_probe": _number(cfg, "n_probe", int, 4),
+        "dt": _auto_or_number(cfg, "dt"),
+        "gamma": _auto_or_number(cfg, "gamma"),
+        "beta": _number(cfg, "beta", float, 0.0),
         "proposal": cfg.get("proposal", "single-bit-flip"),
-        "burn_in": int(cfg.get("burn_in", 1000)),
-        "thinning": int(cfg.get("thinning", 1)),
+        "burn_in": _number(cfg, "burn_in", int, 1000),
+        "thinning": _number(cfg, "thinning", int, 1),
     }
     try:
         if kind == "A":
@@ -208,13 +232,7 @@ def _scenario_mode(flag_mode: str) -> str:
 
 
 def cmd_diag(args) -> int:
-    cfg = _load_config(args.config)
-    base = Path(args.config).parent
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    manifest = RunManifest(
-        "diag", args.config, seed, args.out or "-", _now(), __version__
-    )
-
+    cfg, base, seed, manifest = _start(args, "diag")
     try:
         a = HermitianOperator(_resolve_matrix(_require(cfg, "a"), base))
         if "v" in cfg:
@@ -222,219 +240,103 @@ def cmd_diag(args) -> int:
         else:
             v = UnitaryOperator(np.eye(a.dim))
         f = _function_spec(_require(cfg, "f"))
-        x0 = int(_require(cfg, "x0"))
-        n_probe = int(cfg.get("n_probe", 4))
+        x0 = _number(cfg, "x0", int)
+        n_probe = _number(cfg, "n_probe", int, 4)
+        check_register_size(n_probe, a.dim)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    n_sam = args.n_sam if args.n_sam is not None else _number(cfg, "n_sam", int, 10000)
 
-    eigvals = np.linalg.eigvalsh(a.entries)
-    dt = cfg.get("dt", "auto")
-    dt = choose_dt(float(eigvals.max()), n_probe) if dt == "auto" else float(dt)
-    gamma = cfg.get("gamma", "auto")
-    gamma = choose_gamma(f, dt, n_probe) if gamma == "auto" else float(gamma)
-
-    from .circuit import CircuitConfig
-
-    circuit_cfg = CircuitConfig(n_probe=n_probe, dt=dt, gamma=gamma, f=f)
-    exact_mu = exact_diag_element(a, v, f, x0)
-    state = run_tomography_circuit(a, v, x0, circuit_cfg)
-    circuit_mu = estimate_diag_element(ancilla_zero_probability(state), gamma)
-
-    n_slots = circuit_cfg.n_slots
-    leakage = []
-    for lam in eigvals:
-        k = lam * dt
-        nearest = int(np.round(k * n_slots / (2 * np.pi))) % n_slots
-        on_slot = abs(leakage_amplitude(k, nearest, n_slots)) ** 2
-        leakage.append(
-            {
-                "eigenvalue": float(lam),
-                "grid_position": float(k * n_slots / (2 * np.pi)),
-                "nearest_slot": nearest,
-                "off_slot_mass": float(1 - on_slot),
-            }
-        )
-
-    n_sam = args.n_sam if args.n_sam is not None else int(cfg.get("n_sam", 10000))
-    samples = sample_measurements(state, n_sam, seed)
-    freq = empirical_distribution(samples, ("ancilla",)).frequency((0,))
+    dt, gamma = _auto_or_number(cfg, "dt"), _auto_or_number(cfg, "gamma")
+    circuit = circuit_config(a, f, n_probe, dt, gamma)
     report = {
-        "manifest": manifest.to_json(),
+        "manifest": dataclasses.asdict(manifest),
         "x0": x0,
-        "dt": dt,
-        "gamma": gamma,
+        "dt": circuit.dt,
+        "gamma": circuit.gamma,
         "n_probe": n_probe,
-        "exact_mu": exact_mu,
-        "circuit_mu": circuit_mu,
-        "shots": {
-            "n_sam": n_sam,
-            "ancilla_zero_frequency": freq,
-            "mu_hat": estimate_diag_element(freq, gamma),
-        },
-        "leakage": leakage,
+        **estimate_diagonal(a, v, x0, circuit, n_sam, seed),
     }
     _emit_json(report, args.out)
     return 0
 
 
-def _thermal_density(h: HermitianOperator, beta: float) -> np.ndarray:
-    dec = eigendecompose(h)
-    weights = np.exp(-beta * dec.eigenvalues)
-    u = dec.basis_changer.entries
-    return (u * (weights / weights.sum())) @ u.conj().T
-
-
-def _mean_oracle(spec: ScenarioSpec) -> float:
-    u = spec.observable.basis_changer.entries
-    omega = (u * spec.observable.eigenvalues) @ u.conj().T
-    if spec.kind == "A":
-        rho = spec.rho.entries
-    else:
-        rho = _thermal_density(spec.hamiltonian, spec.beta)
-    return float(np.trace(omega @ rho).real)
-
-
 def cmd_mean(args) -> int:
-    cfg = _load_config(args.config)
-    base = Path(args.config).parent
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    cfg, base, seed, manifest = _start(args, "mean")
     spec = _scenario_from_config(cfg, base, seed, args.n_sam)
     if spec.kind not in ("A", "B"):
         raise ConfigError("the mean command needs a kind A or B config")
-    manifest = RunManifest(
-        "mean", args.config, seed, args.out or "-", _now(), __version__
-    )
     report = run_scenario_mean(spec, _scenario_mode(args.mode))
-    out = {"manifest": manifest.to_json(), "report": report.to_json()}
+    out = {"manifest": dataclasses.asdict(manifest), "report": report.to_json()}
     if spec.dim <= ORACLE_DIM_CAP:
-        exact = _mean_oracle(spec)
-        out["oracle"] = {
-            "exact_value": exact,
-            "abs_error": abs(report.point_estimate - exact),
-        }
+        out["oracle"] = exact_oracle(spec, report)
     _emit_json(out, args.out)
     return 0
 
 
 def cmd_partition(args) -> int:
-    cfg = _load_config(args.config)
-    base = Path(args.config).parent
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    cfg, base, seed, manifest = _start(args, "partition")
     spec = _scenario_from_config(cfg, base, seed, args.n_sam)
     if spec.kind != "C":
         raise ConfigError("the partition command needs a kind C config")
-    manifest = RunManifest(
-        "partition", args.config, seed, args.out or "-", _now(), __version__
-    )
-    mode = _scenario_mode(args.mode)
-
-    g_coeffs = _partition_coeffs(spec.g)
-    signed = any(c < 0 for c in g_coeffs)
-    if signed:
-        g_plus, g_minus = split_signed_coeffs(g_coeffs)
-        zg = signed_partition(spec, g_plus, g_minus, mode)
-    else:
-        zg = run_scenario_partition(spec, mode)
-
-    one_spec = _replace_weight(spec, FunctionSpec.constant(1.0), seed_offset=2)
-    z1 = run_scenario_partition(one_spec, mode)
-    ratio = trace_ratio(zg, z1)
-
+    zg, z1, ratio = estimate_partition(spec, _scenario_mode(args.mode))
     out = {
-        "manifest": manifest.to_json(),
+        "manifest": dataclasses.asdict(manifest),
         "z_g": zg.to_json(),
         "z_1": z1.to_json(),
         "trace_ratio": ratio.to_json(),
     }
     if spec.dim <= ORACLE_DIM_CAP:
-        out["oracle"] = _partition_oracle(spec, g_coeffs)
+        out["oracle"] = exact_oracle(spec)
     _emit_json(out, args.out)
     return 0
 
 
-def _partition_coeffs(g: FunctionSpec):
-    if g.family == "identity":
-        return (0.0, 1.0)
-    if g.family == "weighted_exponential" and g.beta == 0.0:
-        return g.g_coeffs
-    raise ConfigError("partition weights must be polynomial coefficient lists")
-
-
-def _replace_weight(spec: ScenarioSpec, g: FunctionSpec, seed_offset: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        kind="C",
-        n_sam=spec.n_sam,
-        seed=(spec.seed + seed_offset) % 2 ** 64,
-        n_probe=spec.n_probe,
-        dt=spec.dt,
-        gamma=spec.gamma,
-        beta=spec.beta,
-        proposal=spec.proposal,
-        burn_in=spec.burn_in,
-        thinning=spec.thinning,
-        hamiltonian=spec.hamiltonian,
-        g=g,
-    )
-
-
-def _partition_oracle(spec: ScenarioSpec, g_coeffs) -> dict:
-    shifted, shift = shift_nonnegative(spec.hamiltonian)
-    energies = np.linalg.eigvalsh(shifted.entries)
-    gvals = np.polyval(np.asarray(g_coeffs)[::-1], energies)
-    boltz = np.exp(-spec.beta * energies)
-    zg = float(np.sum(gvals * boltz))
-    z1 = float(np.sum(boltz))
-    return {
-        "shift": shift,
-        "z_g": zg,
-        "z_1": z1,
-        "trace_ratio": zg / z1,
-    }
-
-
 def _chains_from_config(cfg: dict, base: Path, seed: int):
-    rows = []
-    for item in cfg.get("chains", []):
+    items = cfg.get("chains", [])
+    if not isinstance(items, list):
+        raise ConfigError("'chains' must be a list")
+    chains = []
+    for item in items:
         if isinstance(item, str):
             try:
                 with open(base / item) as fh:
                     item = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot load chain file: {exc}") from exc
         if not isinstance(item, dict) or "transition" not in item:
             raise ConfigError("chain entries need a 'transition' matrix")
-        rows.append(item)
-    chains = []
-    for item in rows:
         try:
             chains.append(MarkovChain.from_json(item))
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad chain entry: {exc}") from exc
     rand = cfg.get("random")
     if rand:
-        n_chains = int(rand.get("n_chains", 10))
+        if not isinstance(rand, dict):
+            raise ConfigError("'random' must be an object")
+        n_chains = _number(rand, "n_chains", int, 10)
         dims = rand.get("dims")
         if dims is None:
-            dims = [int(rand.get("dim", 4))] * n_chains
+            dims = [_number(rand, "dim", int, 4)]
+        if not isinstance(dims, list) or not dims:
+            raise ConfigError("'dims' must be a nonempty list of integers")
+        dims = [_typed(d, int, "a 'dims' entry") for d in dims]
+        if min(dims) < 2:
+            raise ConfigError(f"chain dimensions must be >= 2, got {dims}")
         proposal = rand.get("proposal", "uniform")
-        rng = np.random.default_rng(int(rand.get("seed", seed)))
+        rng = np.random.default_rng(_seed(rand.get("seed", seed), "random seed"))
         for i in range(n_chains):
-            chains.append(random_reversible_chain(rng, int(dims[i % len(dims)]), proposal))
+            chains.append(random_reversible_chain(rng, dims[i % len(dims)], proposal))
     if not chains:
         raise ConfigError("walk-gap config names no chains")
     return chains
 
 
 def cmd_walk_gap(args) -> int:
-    cfg = _load_config(args.config)
-    base = Path(args.config).parent
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    manifest = RunManifest(
-        "walk-gap", args.config, seed, args.out or "-", _now(), __version__
-    )
+    cfg, base, seed, manifest = _start(args, "walk-gap")
     chains = _chains_from_config(cfg, base, seed)
 
-    lines = [f"# manifest: {json.dumps(manifest.to_json(), sort_keys=True)}"]
+    lines = [f"# manifest: {json.dumps(dataclasses.asdict(manifest), sort_keys=True)}"]
     lines.append("delta,phase_gap,ratio,status")
     for chain in chains:
         try:
@@ -472,19 +374,16 @@ def _load_angles(path: str):
         obj = obj.get("angles")
     if not isinstance(obj, list) or not obj:
         raise ConfigError("angles file must hold a nonempty list of numbers")
-    return [float(x) for x in obj]
+    return [_typed(x, float, "an angle") for x in obj]
 
 
 def cmd_compile_mux(args) -> int:
     angles = _load_angles(args.config)
     if len(angles) & (len(angles) - 1):
         raise ConfigError(f"angle count must be a power of two, got {len(angles)}")
-    seed = args.seed if args.seed is not None else 0
-    manifest = RunManifest(
-        "compile-mux", args.config, seed, args.out or "-", _now(), __version__
-    )
+    manifest = _manifest(args, "compile-mux", _seed(args.seed if args.seed is not None else 0))
     seq = expand_multiplexor(angles)
-    header = f"# manifest: {json.dumps(manifest.to_json(), sort_keys=True)}\n"
+    header = f"# manifest: {json.dumps(dataclasses.asdict(manifest), sort_keys=True)}\n"
     header += f"# qubits: {seq.n_qubits} gates: {len(seq)}\n"
     _emit(header + seq.to_text(), args.out)
     if len(angles) <= VERIFY_ANGLE_CAP:
@@ -524,9 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None and not 0 <= args.seed < 2 ** 64:
-        sys.stderr.write("error: seed must fit in 64 bits\n")
-        return 2
     try:
         return args.func(args)
     except ConfigError as exc:

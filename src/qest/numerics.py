@@ -273,6 +273,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise DomainError(
             f"matrix shape {re.shape}/{im.shape} does not match dim {dim}"
         )
+    # A JSON null reads as nan, which the Hermiticity and unitarity checks
+    # would let through.
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise DomainError("matrix entries must be finite numbers")
     return re + 1j * im
 
 

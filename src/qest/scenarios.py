@@ -15,20 +15,32 @@ identical either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import CircuitConfig, run_tomography_circuit
-from .estimation import ancilla_zero_probability
+from .circuit import (
+    CircuitConfig,
+    check_register_size,
+    leakage_amplitude,
+    run_tomography_circuit,
+)
+from .estimation import (
+    ancilla_zero_probability,
+    empirical_distribution,
+    estimate_diag_element,
+    sample_measurements,
+)
 from .numerics import (
     DomainError,
     FunctionSpec,
     HermitianOperator,
     SpectralDecomposition,
     UnitaryOperator,
-    eigendecompose,
     exact_diag_element,
+    exact_mean,
+    exact_partition,
+    function_of_hermitian,
     validate_density,
 )
 from .sampler import (
@@ -42,7 +54,7 @@ from .sampler import (
 KINDS = ("A", "B", "C")
 MODES = ("exact-mu", "circuit-mu")
 
-# Dimension cap below which exact-oracle diagnostics stay cheap.
+# Reports carry an exact-oracle block up to this dimension.
 ORACLE_DIM_CAP = 2 ** 6
 
 
@@ -84,6 +96,7 @@ class ScenarioSpec:
         else:
             if self.hamiltonian is None or self.g is None:
                 raise DomainError("kind C needs a Hamiltonian and a weight g")
+            _weight_coeffs(self.g)
         if self.kind in ("B", "C"):
             if not np.isfinite(self.beta) or self.beta < 0:
                 raise DomainError(f"beta must be finite and >= 0, got {self.beta}")
@@ -92,6 +105,8 @@ class ScenarioSpec:
             if val != "auto":
                 if not isinstance(val, (int, float)) or not np.isfinite(val) or val <= 0:
                     raise DomainError(f"{name} must be 'auto' or a positive number")
+        check_register_size(self.n_probe, self.dim)
+        self.chain_config()  # rejects a bad proposal, burn_in or thinning now
 
     @property
     def dim(self) -> int:
@@ -199,16 +214,24 @@ def resolve_target(spec: ScenarioSpec) -> _ResolvedTarget:
         v = UnitaryOperator(np.eye(a.dim))
         f = FunctionSpec.weighted_exponential(_weight_coeffs(spec.g), spec.beta)
 
-    dt = choose_dt(_spectral_max(a), spec.n_probe) if spec.dt == "auto" else float(spec.dt)
-    gamma = choose_gamma(f, dt, spec.n_probe) if spec.gamma == "auto" else float(spec.gamma)
-    circuit = CircuitConfig(n_probe=spec.n_probe, dt=dt, gamma=gamma, f=f)
+    circuit = circuit_config(a, f, spec.n_probe, spec.dt, spec.gamma)
     return _ResolvedTarget(v, a, f, shift, circuit)
+
+
+def circuit_config(
+    a: HermitianOperator, f: FunctionSpec, n_probe: int, dt="auto", gamma="auto"
+) -> CircuitConfig:
+    """Circuit parameters for A and f; "auto" dt puts the top of A's spectrum
+    on the last probe slot and "auto" gamma scales f into [0, 1] on the grid."""
+    dt = choose_dt(_spectral_max(a), n_probe) if dt == "auto" else float(dt)
+    gamma = choose_gamma(f, dt, n_probe) if gamma == "auto" else float(gamma)
+    return CircuitConfig(n_probe=n_probe, dt=dt, gamma=gamma, f=f)
 
 
 def _spectral_max(a: HermitianOperator) -> float:
     top = float(np.linalg.eigvalsh(a.entries).max())
-    # A has been shifted (or is a density matrix), so top >= 0. An all-zero
-    # spectrum sits on grid slot 0 for any dt; pick 1 arbitrarily.
+    # An all-zero spectrum sits on grid slot 0 for any dt; pick 1
+    # arbitrarily. A negative spectrum is rejected later, by the circuit.
     return top if top > 0 else 1.0
 
 
@@ -341,11 +364,10 @@ def signed_partition(
     reuses the seed shifted by one); errors add in quadrature. A vanishing
     negative part reduces to the plain estimator.
     """
-    plus_spec = _with_weight(spec, g_plus, 0)
-    plus = run_scenario_partition(plus_spec, mode)
+    plus = run_scenario_partition(replace(spec, g=g_plus), mode)
     if all(c == 0 for c in g_minus.g_coeffs):
         return plus
-    minus_spec = _with_weight(spec, g_minus, 1)
+    minus_spec = replace(spec, g=g_minus, seed=(spec.seed + 1) % 2 ** 64)
     minus = run_scenario_partition(minus_spec, mode)
     return EstimateReport(
         plus.point_estimate - minus.point_estimate,
@@ -356,18 +378,89 @@ def signed_partition(
     )
 
 
-def _with_weight(spec: ScenarioSpec, g: FunctionSpec, seed_offset: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        kind="C",
-        n_sam=spec.n_sam,
-        seed=(spec.seed + seed_offset) % 2 ** 64,
-        n_probe=spec.n_probe,
-        dt=spec.dt,
-        gamma=spec.gamma,
-        beta=spec.beta,
-        proposal=spec.proposal,
-        burn_in=spec.burn_in,
-        thinning=spec.thinning,
-        hamiltonian=spec.hamiltonian,
-        g=g,
-    )
+def estimate_partition(spec: ScenarioSpec, mode: str = "exact-mu"):
+    """Z_g, Z_1 and Z_g / Z_1 for kind C, as three reports.
+
+    Z_g goes through signed_partition (seeds seed and seed + 1), Z_1 is the
+    plain estimator at seed + 2, so numerator and denominator come from
+    independent chains.
+    """
+    if spec.kind != "C":
+        raise DomainError("estimate_partition handles kind C only")
+    g_plus, g_minus = split_signed_coeffs(_weight_coeffs(spec.g))
+    zg = signed_partition(spec, g_plus, g_minus, mode)
+    one_spec = replace(spec, g=FunctionSpec.constant(1.0), seed=(spec.seed + 2) % 2 ** 64)
+    z1 = run_scenario_partition(one_spec, mode)
+    return zg, z1, trace_ratio(zg, z1)
+
+
+def exact_oracle(spec: ScenarioSpec, report: EstimateReport | None = None) -> dict:
+    """Classical oracle block for a scenario, from the numerics oracles.
+
+    Kinds A and B give the exact mean tr(Omega rho), plus the absolute error
+    of a report's point estimate when one is passed; the thermal state is
+    f(A) / tr f(A) on the shifted operator the estimator samples. Kind C
+    gives the shift and the exact Z_g, Z_1 and Z_g / Z_1 of the shifted
+    Hamiltonian.
+    """
+    if spec.kind == "C":
+        shifted, shift = shift_nonnegative(spec.hamiltonian)
+        zg = exact_partition(shifted, spec.beta, spec.g)
+        z1 = exact_partition(shifted, spec.beta, FunctionSpec.constant(1.0))
+        return {"shift": shift, "z_g": zg, "z_1": z1, "trace_ratio": zg / z1}
+    if spec.kind == "A":
+        rho = spec.rho
+    else:
+        target = resolve_target(spec)
+        thermal = function_of_hermitian(target.a, target.f).entries
+        rho = HermitianOperator(thermal / np.trace(thermal).real)
+    omega = spec.observable.reconstruct()
+    exact = exact_mean(HermitianOperator((omega + omega.conj().T) / 2), rho)
+    if report is None:
+        return {"exact_value": exact}
+    return {"exact_value": exact, "abs_error": abs(report.point_estimate - exact)}
+
+
+def estimate_diagonal(
+    a: HermitianOperator,
+    v: UnitaryOperator,
+    x0: int,
+    circuit: CircuitConfig,
+    n_sam: int,
+    seed: int,
+) -> dict:
+    """<x0| V^dag f(A) V |x0> three ways, as a report block.
+
+    exact_mu is the spectral-sum oracle, circuit_mu the exact ancilla-zero
+    probability of the circuit over gamma, and shots the same estimate from
+    n_sam seeded measurements. leakage gives, per eigenvalue of A, its probe
+    grid position and the probability mass that misses its nearest slot.
+    """
+    exact_mu = exact_diag_element(a, v, circuit.f, x0)
+    state = run_tomography_circuit(a, v, x0, circuit)
+    n_slots = circuit.n_slots
+    leakage = []
+    for lam in np.linalg.eigvalsh(a.entries):
+        k = lam * circuit.dt
+        nearest = int(np.round(k * n_slots / (2 * np.pi))) % n_slots
+        on_slot = abs(leakage_amplitude(k, nearest, n_slots)) ** 2
+        leakage.append(
+            {
+                "eigenvalue": float(lam),
+                "grid_position": float(k * n_slots / (2 * np.pi)),
+                "nearest_slot": nearest,
+                "off_slot_mass": float(1 - on_slot),
+            }
+        )
+    samples = sample_measurements(state, n_sam, seed)
+    freq = empirical_distribution(samples, ("ancilla",)).frequency((0,))
+    return {
+        "exact_mu": exact_mu,
+        "circuit_mu": estimate_diag_element(ancilla_zero_probability(state), circuit.gamma),
+        "shots": {
+            "n_sam": n_sam,
+            "ancilla_zero_frequency": freq,
+            "mu_hat": estimate_diag_element(freq, circuit.gamma),
+        },
+        "leakage": leakage,
+    }

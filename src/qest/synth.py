@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import HermitianOperator, UnitaryOperator, eigendecompose
+from .numerics import HermitianOperator, UnitaryOperator
 from .sampler import MarkovChain, build_metropolis_matrix
 
 
@@ -56,7 +56,3 @@ def random_reversible_chain(
     """Reversible chain from Metropolis applied to random positive weights."""
     return build_metropolis_matrix(random_positive_weights(rng, dim), proposal)
 
-
-def observable_from_matrix(omega: HermitianOperator):
-    """Spectral pair (eigenvalues, basis changer) of an explicit observable."""
-    return eigendecompose(omega)

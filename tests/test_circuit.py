@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qest.circuit import (
+    MAX_STATE_DIM,
     CircuitConfig,
     Gate,
     GateSequence,
@@ -495,3 +496,15 @@ def test_expand_gate_budget():
 def test_expand_rejects_bad_length():
     with pytest.raises(DomainError):
         expand_multiplexor([0.1, 0.2, 0.3])
+
+
+def test_size_cap_rejects_one_qubit_over():
+    cap_qubits = MAX_STATE_DIM.bit_length() - 1
+    f = FunctionSpec.constant(1.0)
+    # Probe plus a one-qubit main register plus the ancilla.
+    with pytest.raises(DomainError, match="cap"):
+        CircuitConfig(cap_qubits - 1, 1.0, 1.0, f)
+    # The check runs before the 2^n amplitude state is built.
+    config = CircuitConfig(cap_qubits - 3, 1.0, 1.0, f)
+    with pytest.raises(DomainError, match="cap"):
+        prepare_initial_state(0, UnitaryOperator(np.eye(8)), config)

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from qest.circuit import GateSequence, compose_gate_unitary, multiplexor_block
+from qest.circuit import MAX_STATE_DIM, GateSequence, compose_gate_unitary, multiplexor_block
 from qest.cli import main
-from qest.numerics import matrix_to_json
+from qest.numerics import FunctionSpec, HermitianOperator, matrix_to_json
+from qest.scenarios import ScenarioSpec, estimate_partition, exact_oracle
 
 
 def write_json(path, obj):
@@ -274,3 +275,97 @@ def test_compile_mux_bad_length(tmp_path, capsys):
     code, _, err = run_cli(["compile-mux", "--config", str(path)], capsys)
     assert code == 2
     assert "power of two" in err
+
+
+# ------------------------------------------------------ config validation
+
+# Ill-typed or out-of-range config values: each is rejected at load with
+# exit 2, rather than escaping as a traceback, passing silently, or failing
+# later as a domain error.
+ILL_TYPED = {
+    "mean-n_probe-string": ("mean", mean_config, {"n_probe": "four"}),
+    "diag-x0-string": ("diag", diag_config, {"x0": "zero"}),
+    "mean-top-level-list": ("mean", mean_config, []),
+    "diag-top-level-list": ("diag", diag_config, []),
+    "walk-gap-top-level-list": ("walk-gap", None, []),
+    "walk-gap-random-int": ("walk-gap", None, {"random": 5}),
+    "walk-gap-chains-int": ("walk-gap", None, {"chains": 5}),
+    "walk-gap-n_chains-string": ("walk-gap", None, {"random": {"n_chains": "x"}}),
+    "mean-seed-string": ("mean", mean_config, {"seed": "abc"}),
+    "mean-seed-above-64-bits": ("mean", mean_config, {"seed": 2 ** 70}),
+    "mean-seed-negative": ("mean", mean_config, {"seed": -1}),
+    "diag-seed-above-64-bits": ("diag", diag_config, {"seed": 2 ** 70}),
+    "partition-n_probe-zero": ("partition", partition_config, {"n_probe": 0}),
+    "mean-proposal-unknown": ("mean", mean_config, {"proposal": "bogus"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ILL_TYPED))
+def test_ill_typed_config_is_config_error(case, tmp_path, capsys):
+    command, make, cfg = ILL_TYPED[case]
+    if isinstance(cfg, list):
+        path = write_json(tmp_path / "top.json", cfg)
+    elif make is None:
+        path = write_json(tmp_path / "walk.json", cfg)
+    else:
+        path = make(tmp_path, **cfg)
+    code, _, err = run_cli([command, "--config", path], capsys)
+    assert code == 2
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
+
+
+def test_n_probe_above_size_cap_is_config_error(tmp_path, capsys):
+    cap_qubits = MAX_STATE_DIM.bit_length() - 1
+    # dim-2 main register plus the ancilla: one qubit over the cap.
+    path = mean_config(tmp_path, n_probe=cap_qubits - 1)
+    code, _, err = run_cli(["mean", "--config", path], capsys)
+    assert code == 2
+    assert "cap" in err
+
+
+def test_partition_non_polynomial_weight_is_config_error(tmp_path, capsys):
+    path = partition_config(tmp_path, g={"family": "exponential"})
+    code, _, err = run_cli(["partition", "--config", path], capsys)
+    assert code == 2
+    assert err.startswith("config error:")
+
+
+def test_diag_all_zero_operator(tmp_path, capsys):
+    path = diag_config(tmp_path, a=matrix_to_json(np.zeros((2, 2), dtype=complex)))
+    code, out, _ = run_cli(["diag", "--config", path], capsys)
+    assert code == 0
+    report = json.loads(out)
+    # f = exp(-0.5 xi) at the zero spectrum: f(0) = 1 on every path.
+    assert report["exact_mu"] == 1.0
+    assert report["circuit_mu"] == pytest.approx(1.0, abs=1e-12)
+
+
+README_PARTITION = {
+    "kind": "C",
+    "hamiltonian": matrix_to_json(np.diag([0.0, 1.0]).astype(complex)),
+    "g": [1.0, -1.0],
+    "beta": 0.6931471805599453,
+    "n_sam": 20000,
+    "seed": 13,
+}
+
+
+def test_scenario_api_reproduces_partition_report(tmp_path, capsys):
+    path = write_json(tmp_path / "part.json", README_PARTITION)
+    code, out, _ = run_cli(["partition", "--config", path], capsys)
+    assert code == 0
+    report = json.loads(out)
+    spec = ScenarioSpec(
+        kind="C",
+        n_sam=20000,
+        seed=13,
+        beta=0.6931471805599453,
+        hamiltonian=HermitianOperator(np.diag([0.0, 1.0])),
+        g=FunctionSpec.weighted_exponential((1.0, -1.0), 0.0),
+    )
+    zg, z1, ratio = estimate_partition(spec)
+    assert zg.to_json() == report["z_g"]
+    assert z1.to_json() == report["z_1"]
+    assert ratio.to_json() == report["trace_ratio"]
+    assert exact_oracle(spec) == report["oracle"]

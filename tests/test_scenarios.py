@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qest.circuit import MAX_STATE_DIM
 from qest.numerics import (
     DomainError,
     FunctionSpec,
@@ -18,6 +19,8 @@ from qest.scenarios import (
     ScenarioSpec,
     choose_dt,
     choose_gamma,
+    estimate_partition,
+    exact_oracle,
     mu_of_x,
     run_scenario_mean,
     run_scenario_partition,
@@ -371,3 +374,48 @@ def test_signed_partition_seeded_polynomial():
         shifted, 0.4, FunctionSpec("weighted_exponential", beta=0.0, g_coeffs=coeffs)
     )
     assert abs(report.point_estimate - want) <= 3 * max(report.standard_error, 1e-12)
+
+
+# ------------------------------------------------------ scenario API
+
+@pytest.mark.parametrize(
+    "g", [FunctionSpec.weighted_exponential((0.0, 1.0), 0.0), FunctionSpec.identity()]
+)
+def test_estimate_partition_unsigned_weight_is_plain_run(g):
+    spec = spec_c_fixture(g=g, n_sam=3000, seed=31)
+    zg, z1, ratio = estimate_partition(spec)
+    assert zg == run_scenario_partition(spec)
+    assert z1 == run_scenario_partition(spec_c_fixture(n_sam=3000, seed=33))
+    assert ratio == trace_ratio(zg, z1)
+
+
+def test_kind_c_spec_rejects_non_polynomial_weight():
+    with pytest.raises(DomainError):
+        spec_c_fixture(g=FunctionSpec.exponential(0.0))
+
+
+def test_spec_rejects_n_probe_above_size_cap():
+    cap_qubits = MAX_STATE_DIM.bit_length() - 1
+    # 4-dim main register (2 qubits) plus the ancilla: one qubit over the cap.
+    h = HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0]))
+    with pytest.raises(DomainError, match="cap"):
+        spec_c_fixture(hamiltonian=h, n_probe=cap_qubits - 2)
+
+
+def test_exact_oracle_mean_matches_numerics():
+    rng = np.random.default_rng(191)
+    h = random_hermitian(rng, 4)
+    # Large eigenvalues: the rebuilt observable must still pass as Hermitian.
+    omega = random_hermitian(rng, 4, scale=1e5)
+    spec_b = spec_b_fixture(hamiltonian=h, observable=eigendecompose(omega), n_sam=10)
+    shifted, _ = shift_nonnegative(h)
+    thermal = function_of_hermitian(shifted, FunctionSpec.exponential(LN2)).entries
+    rho = HermitianOperator(thermal / np.trace(thermal).real)
+    oracle = exact_oracle(spec_b)
+    assert oracle["exact_value"] == pytest.approx(exact_mean(omega, rho), rel=1e-12)
+    spec_a = ScenarioSpec(
+        kind="A", n_sam=10, seed=0, rho=rho, observable=eigendecompose(omega)
+    )
+    assert exact_oracle(spec_a)["exact_value"] == pytest.approx(
+        exact_mean(omega, rho), rel=1e-12
+    )
