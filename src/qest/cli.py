@@ -41,6 +41,7 @@ from .numerics import (
     matrix_from_json,
 )
 from .sampler import (
+    MAX_CHAIN_STEPS,
     MarkovChain,
     SamplerError,
     phase_gap,
@@ -246,6 +247,10 @@ def cmd_diag(args) -> int:
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     n_sam = args.n_sam if args.n_sam is not None else _number(cfg, "n_sam", int, 10000)
+    if not 1 <= n_sam <= MAX_CHAIN_STEPS:
+        raise ConfigError(
+            f"n_sam must be in 1 .. {MAX_CHAIN_STEPS} (the shot cap), got {n_sam}"
+        )
 
     dt, gamma = _auto_or_number(cfg, "dt"), _auto_or_number(cfg, "gamma")
     circuit = circuit_config(a, f, n_probe, dt, gamma)

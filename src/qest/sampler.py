@@ -8,6 +8,8 @@ eigenphases, which sit at plus or minus arccos of the chain eigenvalues.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,15 @@ MAX_WALK_DIM = 2 ** 16
 
 # Eigenphases below this magnitude count as zero when the phase gap is taken.
 PHASE_ZERO_TOL = 1e-9
+
+# Longest Metropolis run (burn-in plus recorded transitions) a ChainConfig
+# admits; also the cap on measurement shots per diag run.
+MAX_CHAIN_STEPS = 2 ** 24
+
+# Chain steps whose draws are decoded at once; bounds the kernel's memory.
+BLOCK_STEPS = 4096
+
+_LOW32 = 0xFFFFFFFF
 
 
 class SamplerError(RuntimeError):
@@ -99,6 +110,12 @@ class ChainConfig:
             raise DomainError("burn_in must be >= 0 and thinning >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must fit in 64 bits")
+        total = self.burn_in + self.n_steps * self.thinning
+        if total > MAX_CHAIN_STEPS:
+            raise DomainError(
+                f"chain of {total} steps (burn_in + n_steps * thinning) "
+                f"exceeds the cap {MAX_CHAIN_STEPS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,11 +133,86 @@ class ChainRun:
 
 def _bit_count(dim: int) -> int:
     n_bits = dim.bit_length() - 1
-    if 2 ** n_bits != dim:
+    if n_bits < 1 or 2 ** n_bits != dim:
         raise DomainError(
-            f"single-bit-flip proposal needs a power-of-two dimension, got {dim}"
+            f"single-bit-flip proposal needs a power-of-two dimension >= 2, got {dim}"
         )
     return n_bits
+
+
+class _DrawStream:
+    """Proposal indices and uniforms of a Metropolis run, a block at a time.
+
+    Decodes raw PCG64 words exactly as the per-step scalar calls
+    rng.integers(0, n) then rng.random() consume them, so a blocked chain
+    follows the same trajectory as a step-by-step one:
+
+    - integers(0, n) takes a 32-bit half: the buffered high half of the last
+      split word if there is one, else the low half of a fresh word, whose
+      high half is buffered. A half v is rejected and redrawn while
+      (v * n) mod 2**32 < 2**32 % n (Lemire); the value is (v * n) >> 32.
+      integers(0, 1) draws nothing.
+    - random() takes a whole word w and returns (w >> 11) * 2**-53; it leaves
+      the buffered half alone.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self._raw = rng.bit_generator.random_raw
+        self._n = n
+        self._threshold = (1 << 32) % n
+        self._half = None  # buffered high half, as PCG64's has_uint32
+
+    def take(self, k: int):
+        """The next k (proposal index, uniform) draws as two arrays."""
+        if self._n == 1:
+            return np.zeros(k, dtype=np.uint64), _uniforms(self._raw(k))
+        # Without rejections the words run [U] S U U S U U ... [S U]: the
+        # leading U serves a step whose proposal is the buffered half, and
+        # each split word S feeds the proposals of the two steps after it.
+        start_half = self._half
+        lead = int(start_half is not None)
+        m = k - lead
+        words = self._raw(k + (m + 1) // 2)
+        groups = np.append(words[lead:], np.zeros(m % 2, np.uint64)).reshape(-1, 3)
+        split = groups[:, 0]
+        halves = np.column_stack((split & _LOW32, split >> np.uint64(32))).ravel()[:m]
+        uniform = groups[:, 1:].ravel()[:m]
+        if lead:
+            halves = np.concatenate((np.array([start_half], np.uint64), halves))
+            uniform = np.concatenate((words[:1], uniform))
+        self._half = int(split[-1] >> np.uint64(32)) if m % 2 else None
+        scaled = halves * np.uint64(self._n)
+        if self._threshold and ((scaled & _LOW32) < self._threshold).any():
+            # A rejection (about 1e-9 per draw) shifts every later draw.
+            self._half = start_half
+            return self._take_stepwise(k, words.tolist())
+        return scaled >> np.uint64(32), _uniforms(uniform)
+
+    def _take_stepwise(self, k: int, words: list):
+        """take(k) one draw at a time, starting from the block's words.
+
+        A block with a rejection consumes every word the rejection-free
+        layout fetched and then some, so no fetched word is left over.
+        """
+        words = itertools.chain(words, iter(self._raw, None))
+        props, uniform = [], []
+        for _ in range(k):
+            while True:
+                if self._half is None:
+                    w = next(words)
+                    v, self._half = w & _LOW32, w >> 32
+                else:
+                    v, self._half = self._half, None
+                scaled = v * self._n
+                if scaled & _LOW32 >= self._threshold:
+                    break
+            props.append(scaled >> 32)
+            uniform.append(next(words))
+        return np.array(props, np.uint64), _uniforms(np.array(uniform, np.uint64))
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    return (words >> np.uint64(11)) * 2.0 ** -53
 
 
 def run_chain(ratio, dim: int, config: ChainConfig) -> ChainRun:
@@ -131,55 +223,58 @@ def run_chain(ratio, dim: int, config: ChainConfig) -> ChainRun:
     burn_in transitions, then records every thinning-th state until n_steps
     samples exist. A start from which only nan ratios are seen within the
     retry budget means the target is identically zero.
+
+    Each step draws rng.integers(0, n) for the proposal (n = dim, or the bit
+    count for single-bit-flip) and then rng.random() for the acceptance test,
+    rng = default_rng(config.seed), whether or not the move is taken; the
+    draws are decoded a block at a time (see _DrawStream).
     """
-    if dim < 1:
-        raise DomainError(f"dimension must be >= 1, got {dim}")
-    n_bits = _bit_count(dim) if config.proposal == "single-bit-flip" else 0
-    rng = np.random.default_rng(config.seed)
+    if not 1 <= dim <= 2 ** 32:  # the decoder follows numpy's 32-bit draw path
+        raise DomainError(f"dimension must be in 1 .. 2**32, got {dim}")
+    flip = config.proposal == "single-bit-flip"
+    n = _bit_count(dim) if flip else dim
+    draws = _DrawStream(np.random.default_rng(config.seed), n)
 
     x = 0
     samples = []
-    n_proposed = 0
     n_accepted = 0
     ever_accepted = False
     nan_streak = 0
     nan_budget = 100 + 10 * dim
     total = config.burn_in + config.n_steps * config.thinning
-    for step in range(total):
-        if config.proposal == "uniform":
-            y = int(rng.integers(0, dim))
-        else:
-            y = x ^ (1 << int(rng.integers(0, n_bits)))
-        r = float(ratio(x, y))
-        n_proposed += 1
-        if np.isnan(r):
-            if not ever_accepted:
-                nan_streak += 1
-                if nan_streak > nan_budget:
-                    raise SamplerError(
-                        "target measure looks identically zero: no move "
-                        f"accepted after {nan_streak} undefined ratios"
-                    )
-            accept = False
-            rng.random()  # keep the draw stream aligned with accepted paths
-        else:
-            if r < 0:
+    record = config.burn_in + config.thinning - 1  # next step whose state is kept
+    for start in range(0, total, BLOCK_STEPS):
+        stop = min(start + BLOCK_STEPS, total)
+        props, uniform = draws.take(stop - start)
+        if flip:
+            props = np.uint64(1) << props
+        for step, y, u in zip(range(start, stop), props.tolist(), uniform.tolist()):
+            if flip:
+                y ^= x
+            r = float(ratio(x, y))
+            if r != r:  # nan: the move is refused, its uniform still drawn
+                if not ever_accepted:
+                    nan_streak += 1
+                    if nan_streak > nan_budget:
+                        raise SamplerError(
+                            "target measure looks identically zero: no move "
+                            f"accepted after {nan_streak} undefined ratios"
+                        )
+            elif r < 0:
                 raise DomainError(f"ratio oracle returned negative value {r}")
-            accept = rng.random() < min(1.0, r)
-        if accept:
-            x = y
-            n_accepted += 1
-            ever_accepted = True
-        if step >= config.burn_in and (step - config.burn_in) % config.thinning == (
-            config.thinning - 1
-        ):
-            samples.append(x)
-    if not ever_accepted and nan_streak == n_proposed:
+            elif u < r:  # u < min(1, r), as u < 1
+                x = y
+                n_accepted += 1
+                ever_accepted = True
+            if step == record:
+                samples.append(x)
+                record += config.thinning
+    if not ever_accepted and nan_streak == total:
         # Short runs can end before the streak budget trips.
         raise SamplerError(
             "target measure looks identically zero: every ratio was undefined"
         )
-    return ChainRun(samples, n_proposed, n_accepted)
+    return ChainRun(samples, total, n_accepted)
 
 
 def metropolis_sample(ratio, dim: int, config: ChainConfig) -> list:
@@ -188,14 +283,16 @@ def metropolis_sample(ratio, dim: int, config: ChainConfig) -> list:
 
 
 def ratio_from_weights(mu):
-    """Ratio oracle for an explicit weight vector (0/0 becomes nan)."""
+    """Ratio oracle for an explicit weight vector (y/0 is inf, 0/0 is nan)."""
     mu = np.asarray(mu, dtype=float)
-    if mu.min() < 0:
-        raise DomainError("weights must be nonnegative")
+    if not np.all(np.isfinite(mu)) or mu.min() < 0:
+        raise DomainError("weights must be finite and nonnegative")
+    w = mu.tolist()
 
     def ratio(x, y):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return mu[y] / mu[x]
+        if w[x]:
+            return w[y] / w[x]
+        return math.inf if w[y] else math.nan
 
     return ratio
 

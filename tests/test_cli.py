@@ -8,6 +8,7 @@ import pytest
 from qest.circuit import MAX_STATE_DIM, GateSequence, compose_gate_unitary, multiplexor_block
 from qest.cli import main
 from qest.numerics import FunctionSpec, HermitianOperator, matrix_to_json
+from qest.sampler import MAX_CHAIN_STEPS
 from qest.scenarios import ScenarioSpec, estimate_partition, exact_oracle
 
 
@@ -321,6 +322,29 @@ def test_n_probe_above_size_cap_is_config_error(tmp_path, capsys):
     path = mean_config(tmp_path, n_probe=cap_qubits - 1)
     code, _, err = run_cli(["mean", "--config", path], capsys)
     assert code == 2
+    assert "cap" in err
+
+
+# Chain lengths and shot counts one over the cap, through a config key or
+# the --n-sam flag, and no shots at all. Rejected at load, so nothing of
+# that size is drawn.
+OUT_OF_RANGE = {
+    "mean-n_sam": ("mean", mean_config, {"n_sam": MAX_CHAIN_STEPS}, []),
+    "mean-thinning": ("mean", mean_config, {"n_sam": MAX_CHAIN_STEPS // 4, "thinning": 5}, []),
+    "partition-flag": ("partition", partition_config, {}, ["--n-sam", f"{MAX_CHAIN_STEPS}"]),
+    "diag-n_sam": ("diag", diag_config, {"n_sam": MAX_CHAIN_STEPS + 1}, []),
+    "diag-flag": ("diag", diag_config, {}, ["--n-sam", str(MAX_CHAIN_STEPS + 1)]),
+    "diag-zero-shots": ("diag", diag_config, {"n_sam": 0}, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_chain_and_shot_limits_are_config_errors(case, tmp_path, capsys):
+    command, make, cfg, flags = OUT_OF_RANGE[case]
+    code, _, err = run_cli([command, "--config", make(tmp_path, **cfg), *flags], capsys)
+    assert code == 2
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
     assert "cap" in err
 
 

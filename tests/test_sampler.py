@@ -5,7 +5,9 @@ import pytest
 
 from qest.numerics import DomainError, HermitianOperator, exact_partition, FunctionSpec
 from qest.sampler import (
+    MAX_CHAIN_STEPS,
     ChainConfig,
+    ChainRun,
     MarkovChain,
     SamplerError,
     build_metropolis_matrix,
@@ -18,6 +20,8 @@ from qest.sampler import (
     szegedy_walk_operator,
     trajectory_to_csv,
     walk_eigenphases,
+    _bit_count,
+    _DrawStream,
 )
 from qest.synth import random_positive_weights, random_reversible_chain
 
@@ -298,3 +302,220 @@ def test_gap_relation_sweep():
             continue
         gap = phase_gap(szegedy_walk_operator(chain), chain)
         assert gap >= np.sqrt(2 * delta) - 1e-10
+
+
+# ---------------------------------------------- blocked kernel vs per-step
+
+def reference_run_chain(ratio, dim: int, config: ChainConfig):
+    """The per-step kernel the blocked run_chain replaced, kept as its oracle."""
+    if dim < 1:
+        raise DomainError(f"dimension must be >= 1, got {dim}")
+    n_bits = _bit_count(dim) if config.proposal == "single-bit-flip" else 0
+    rng = np.random.default_rng(config.seed)
+
+    x = 0
+    samples = []
+    n_proposed = 0
+    n_accepted = 0
+    ever_accepted = False
+    nan_streak = 0
+    nan_budget = 100 + 10 * dim
+    total = config.burn_in + config.n_steps * config.thinning
+    for step in range(total):
+        if config.proposal == "uniform":
+            y = int(rng.integers(0, dim))
+        else:
+            y = x ^ (1 << int(rng.integers(0, n_bits)))
+        r = float(ratio(x, y))
+        n_proposed += 1
+        if np.isnan(r):
+            if not ever_accepted:
+                nan_streak += 1
+                if nan_streak > nan_budget:
+                    raise SamplerError(
+                        "target measure looks identically zero: no move "
+                        f"accepted after {nan_streak} undefined ratios"
+                    )
+            accept = False
+            rng.random()  # keep the draw stream aligned with accepted paths
+        else:
+            if r < 0:
+                raise DomainError(f"ratio oracle returned negative value {r}")
+            accept = rng.random() < min(1.0, r)
+        if accept:
+            x = y
+            n_accepted += 1
+            ever_accepted = True
+        if step >= config.burn_in and (step - config.burn_in) % config.thinning == (
+            config.thinning - 1
+        ):
+            samples.append(x)
+    if not ever_accepted and nan_streak == n_proposed:
+        # Short runs can end before the streak budget trips.
+        raise SamplerError(
+            "target measure looks identically zero: every ratio was undefined"
+        )
+    return ChainRun(samples, n_proposed, n_accepted)
+
+
+def reference_ratio_from_weights(mu):
+    """The numpy-division closure the plain-list ratio oracle replaced."""
+    mu = np.asarray(mu, dtype=float)
+
+    def ratio(x, y):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return mu[y] / mu[x]
+
+    return ratio
+
+
+def outcome(kernel, ratio, dim, config):
+    try:
+        run = kernel(ratio, dim, config)
+    except (SamplerError, DomainError) as exc:
+        return type(exc), str(exc)
+    return run.n_proposed, run.n_accepted, run.samples
+
+
+PROPOSAL_DIMS = [("uniform", d) for d in (2, 3, 6, 8, 16, 64)] + [
+    ("single-bit-flip", d) for d in (2, 8, 16, 64)
+]
+# (n_steps, burn_in, thinning, seed); the last crosses a block boundary.
+SCHEDULES = [(300, 0, 1, 0), (250, 7, 3, 2 ** 64 - 1), (3200, 1000, 1, 987654321)]
+
+
+def weight_cases(dim, rng):
+    """(name, blocked-kernel ratio, reference ratio) triples."""
+    positive = rng.uniform(0.05, 1.0, size=dim) ** 3
+    zeros = positive.copy()
+    zeros[0] = 0.0  # the start state: inf ratios out of it
+    zeros[rng.permutation(dim)[: dim // 3]] = 0.0  # and nan between zeros
+    plain = lambda x, y: (y % 5 + 1) / (x % 5 + 1)
+    return [
+        ("positive", ratio_from_weights(positive), reference_ratio_from_weights(positive)),
+        ("zeros", ratio_from_weights(zeros), reference_ratio_from_weights(zeros)),
+        ("lambda", plain, plain),
+    ]
+
+
+@pytest.mark.parametrize("proposal, dim", PROPOSAL_DIMS)
+def test_blocked_kernel_reproduces_per_step_trajectories(proposal, dim):
+    rng = np.random.default_rng(1300 + dim)
+    for name, ratio, reference in weight_cases(dim, rng):
+        for n_steps, burn_in, thinning, seed in SCHEDULES:
+            cfg = ChainConfig(n_steps, seed, proposal, burn_in, thinning)
+            got = outcome(run_chain, ratio, dim, cfg)
+            want = outcome(reference_run_chain, reference, dim, cfg)
+            assert got == want, (name, cfg)
+            assert isinstance(got[2], list), (name, cfg)
+
+
+ERROR_CASES = {
+    # total steps below the nan budget: the end-of-run check trips
+    "all-nan-short": (lambda x, y: float("nan"), 4, ChainConfig(10, 3, "uniform", 0)),
+    # the streak budget trips mid-run
+    "all-nan-long": (lambda x, y: np.nan, 4, ChainConfig(500, 3, "uniform", 0)),
+    "all-zero-weights": (ratio_from_weights(np.zeros(8)), 8, ChainConfig(200, 5)),
+    "negative-ratio": (
+        lambda x, y: -1.0 if y == 3 else 1.0, 4, ChainConfig(100, 3, "uniform", 0),
+    ),
+    "negative-after-burn-in": (
+        lambda x, y: -2.0 if (x, y) == (6, 7) else 1.0, 8, ChainConfig(5000, 9, burn_in=10),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_blocked_kernel_raises_like_per_step(case):
+    ratio, dim, cfg = ERROR_CASES[case]
+    got = outcome(run_chain, ratio, dim, cfg)
+    assert got == outcome(reference_run_chain, ratio, dim, cfg)
+    assert got[0] in (SamplerError, DomainError)
+
+
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+PCG_INC = 2 * 0x5EED + 1
+MASK64 = 2 ** 64 - 1
+
+
+def pcg64_emitting(word: int, position: int) -> np.random.Generator:
+    """A PCG64 generator whose raw output number `position` (from 0) is word.
+
+    PCG64 steps s -> s * PCG_MULT + inc (mod 2**128), then outputs
+    rotr64(hi ^ lo, hi >> 58) of the new state. Pick hi, solve for lo, and
+    step back position + 1 times.
+    """
+    hi = 0x9E3779B97F4A7C15
+    rot = hi >> 58
+    lo = hi ^ (((word << rot) | (word >> (64 - rot))) & MASK64)
+    state = (hi << 64) | lo
+    inverse = pow(PCG_MULT, -1, 2 ** 128)
+    for _ in range(position + 1):
+        state = (state - PCG_INC) * inverse % 2 ** 128
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": PCG_INC},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+# (v * 6) mod 2**32 = 2 < 2**32 % 6 = 4: integers(0, 6) rejects the half v.
+REJECTED_HALF = 715827883
+
+# (raw word, its position): words 0 and 3 are split words (steps 0-1, 2-3);
+# the low half serves the even step, the high half the odd one.
+REJECTION_CASES = {
+    "even-step-0": (REJECTED_HALF | (7 << 32), 0),
+    "odd-step-1": ((REJECTED_HALF << 32) | 5, 0),
+    "even-step-2": (REJECTED_HALF | (9 << 32), 3),
+    "odd-step-3": ((REJECTED_HALF << 32) | 11, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTION_CASES))
+def test_draw_stream_follows_lemire_rejection(case):
+    word, position = REJECTION_CASES[case]
+    assert (REJECTED_HALF * 6) % 2 ** 32 < 2 ** 32 % 6
+    scalar = pcg64_emitting(word, position)
+    want = [(int(scalar.integers(0, 6)), scalar.random()) for _ in range(9)]
+    # Nine accepted halves would leave one buffered; the rejected tenth
+    # shows that numpy itself redrew.
+    assert scalar.bit_generator.state["has_uint32"] == 0
+    blocked = pcg64_emitting(word, position)
+    stream = _DrawStream(blocked, 6)
+    got = []
+    for k in (2, 3, 4):  # block edges on both buffer parities
+        props, uniform = stream.take(k)
+        got += zip(props.tolist(), uniform.tolist())
+    assert got == want
+    assert blocked.bit_generator.state["state"] == scalar.bit_generator.state["state"]
+
+
+def test_draw_stream_without_draws_for_one_choice():
+    scalar = np.random.default_rng(77)
+    want = [(int(scalar.integers(0, 1)), scalar.random()) for _ in range(5)]
+    props, uniform = _DrawStream(np.random.default_rng(77), 1).take(5)
+    assert list(zip(props.tolist(), uniform.tolist())) == want
+
+
+def test_ratio_from_weights_rejects_non_finite():
+    for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -1.0]):
+        with pytest.raises(DomainError):
+            ratio_from_weights(np.array(bad))
+
+
+def test_chain_config_caps_total_steps():
+    # Validation only: nothing of this size is drawn or allocated.
+    ChainConfig(MAX_CHAIN_STEPS - 1000, seed=0, burn_in=1000)
+    with pytest.raises(DomainError):
+        ChainConfig(MAX_CHAIN_STEPS, seed=0, burn_in=1)
+    with pytest.raises(DomainError):
+        ChainConfig(MAX_CHAIN_STEPS // 2 + 1, seed=0, burn_in=0, thinning=2)
+
+
+def test_bit_flip_needs_two_states():
+    with pytest.raises(DomainError):
+        run_chain(ratio_from_weights(np.ones(1)), 1, ChainConfig(10, seed=1))
