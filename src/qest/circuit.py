@@ -23,7 +23,6 @@ from .numerics import (
     FunctionSpec,
     HermitianOperator,
     UnitaryOperator,
-    eigendecompose,
 )
 
 NORM_TOL = 1e-10
@@ -232,21 +231,44 @@ def apply_controlled_evolution(
         )
     if config.n_probe != state.n_probe:
         raise DomainError("config probe size does not match the state")
-    dec = eigendecompose(a)
-    if dec.eigenvalues.min() < -EIGENVALUE_CLIP:
-        raise DomainError(
-            f"eigenvalue {dec.eigenvalues.min():.6e} is negative; shift the "
-            "operator before running the circuit"
-        )
+    dec = a.spectrum
     u = dec.basis_changer.entries
     tensor = state.as_register_tensor()
     # Move the main register into the eigenbasis, phase each probe branch,
     # and move back. O(N_j * N_S^2) instead of per-branch matrix powers.
     in_basis = np.einsum("yx,jxb->jyb", u.conj().T, tensor)
-    j = np.arange(config.n_slots).reshape(-1, 1, 1)
-    phases = np.exp(1j * dec.eigenvalues.reshape(1, -1, 1) * config.dt * j)
+    phases = _probe_phases(dec.eigenvalues, config)[:, :, None]
     out = np.einsum("xy,jyb->jxb", u, in_basis * phases)
     return StateVector(state.n_probe, state.n_main, out.ravel())
+
+
+def _probe_phases(eigenvalues: np.ndarray, config: CircuitConfig) -> np.ndarray:
+    """exp(i lambda_k dt j) over probe values j (rows) and eigenvalues k;
+    eigenvalues below -EIGENVALUE_CLIP are rejected."""
+    if eigenvalues.min() < -EIGENVALUE_CLIP:
+        raise DomainError(
+            f"eigenvalue {eigenvalues.min():.6e} is negative; shift the "
+            "operator before running the circuit"
+        )
+    j = np.arange(config.n_slots).reshape(-1, 1)
+    return np.exp(1j * eigenvalues.reshape(1, -1) * config.dt * j)
+
+
+def eigencomponent_zero_probability(
+    eigenvalues: np.ndarray, config: CircuitConfig
+) -> np.ndarray:
+    """Ancilla-zero probability the circuit gives each eigencomponent of A.
+
+    The eigencomponents of A stay orthogonal on the main register through
+    every stage, so the circuit's ancilla-zero probability for V|x0> is
+    sum_k |<A_k|V|x0>|^2 times entry k of this array, which is
+    sum_j |L(lambda_k dt, j)|^2 c_j^2. L comes from the same phases and FFT
+    as apply_controlled_evolution and apply_inverse_dft, so a probe bin the
+    statevector leaves exactly empty is exactly empty here too.
+    """
+    n = config.n_slots
+    probe = np.fft.fft(_probe_phases(eigenvalues, config) / np.sqrt(n), axis=0) / np.sqrt(n)
+    return config.rotation_cosines() ** 2 @ np.abs(probe) ** 2
 
 
 def apply_inverse_dft(state: StateVector) -> StateVector:

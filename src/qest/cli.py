@@ -37,11 +37,11 @@ from .numerics import (
     HermitianOperator,
     SpectralDecomposition,
     UnitaryOperator,
-    eigendecompose,
     matrix_from_json,
 )
 from .sampler import (
     MAX_CHAIN_STEPS,
+    MAX_WALK_DIM,
     MarkovChain,
     SamplerError,
     phase_gap,
@@ -60,6 +60,9 @@ from .scenarios import (
 from .synth import random_reversible_chain
 
 VERIFY_ANGLE_CAP = 2 ** 10
+
+# Most random chains one walk-gap config may ask for.
+MAX_WALK_CHAINS = 2 ** 10
 
 
 class ConfigError(ValueError):
@@ -172,7 +175,7 @@ def _observable(value, base: Path):
         if vals.shape != (u.dim,):
             raise ConfigError("observable eigenvalue count does not match basis")
         return SpectralDecomposition(vals, u)
-    return eigendecompose(HermitianOperator(_resolve_matrix(value, base)))
+    return HermitianOperator(_resolve_matrix(value, base)).spectrum
 
 
 def _require(cfg: dict, key: str):
@@ -272,7 +275,7 @@ def cmd_mean(args) -> int:
     if spec.kind not in ("A", "B"):
         raise ConfigError("the mean command needs a kind A or B config")
     report = run_scenario_mean(spec, _scenario_mode(args.mode))
-    out = {"manifest": dataclasses.asdict(manifest), "report": report.to_json()}
+    out = {"manifest": dataclasses.asdict(manifest), "report": dataclasses.asdict(report)}
     if spec.dim <= ORACLE_DIM_CAP:
         out["oracle"] = exact_oracle(spec, report)
     _emit_json(out, args.out)
@@ -287,9 +290,9 @@ def cmd_partition(args) -> int:
     zg, z1, ratio = estimate_partition(spec, _scenario_mode(args.mode))
     out = {
         "manifest": dataclasses.asdict(manifest),
-        "z_g": zg.to_json(),
-        "z_1": z1.to_json(),
-        "trace_ratio": ratio.to_json(),
+        "z_g": dataclasses.asdict(zg),
+        "z_1": dataclasses.asdict(z1),
+        "trace_ratio": dataclasses.asdict(ratio),
     }
     if spec.dim <= ORACLE_DIM_CAP:
         out["oracle"] = exact_oracle(spec)
@@ -312,22 +315,26 @@ def _chains_from_config(cfg: dict, base: Path, seed: int):
         if not isinstance(item, dict) or "transition" not in item:
             raise ConfigError("chain entries need a 'transition' matrix")
         try:
-            chains.append(MarkovChain.from_json(item))
+            chain = MarkovChain.from_json(item)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad chain entry: {exc}") from exc
+        _check_walk_dim(chain.dim)
+        chains.append(chain)
     rand = cfg.get("random")
     if rand:
         if not isinstance(rand, dict):
             raise ConfigError("'random' must be an object")
         n_chains = _number(rand, "n_chains", int, 10)
+        if not 0 <= n_chains <= MAX_WALK_CHAINS:
+            raise ConfigError(f"n_chains must be in 0 .. {MAX_WALK_CHAINS}, got {n_chains}")
         dims = rand.get("dims")
         if dims is None:
             dims = [_number(rand, "dim", int, 4)]
         if not isinstance(dims, list) or not dims:
             raise ConfigError("'dims' must be a nonempty list of integers")
         dims = [_typed(d, int, "a 'dims' entry") for d in dims]
-        if min(dims) < 2:
-            raise ConfigError(f"chain dimensions must be >= 2, got {dims}")
+        for dim in dims:
+            _check_walk_dim(dim)
         proposal = rand.get("proposal", "uniform")
         rng = np.random.default_rng(_seed(rand.get("seed", seed), "random seed"))
         for i in range(n_chains):
@@ -335,6 +342,18 @@ def _chains_from_config(cfg: dict, base: Path, seed: int):
     if not chains:
         raise ConfigError("walk-gap config names no chains")
     return chains
+
+
+def _check_walk_dim(dim: int) -> None:
+    """Reject a chain size N the sweep cannot take, before building anything:
+    N < 2, or a walk edge space N^2 above sampler.MAX_WALK_DIM."""
+    if dim < 2:
+        raise ConfigError(f"chain dimensions must be >= 2, got {dim}")
+    if dim * dim > MAX_WALK_DIM:
+        raise ConfigError(
+            f"chain dimension {dim} gives a walk edge space of {dim * dim}, "
+            f"above the cap {MAX_WALK_DIM}"
+        )
 
 
 def cmd_walk_gap(args) -> int:

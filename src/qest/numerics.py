@@ -8,6 +8,7 @@ higher layers can assume well-formed inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,11 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A Hermitian matrix on a power-of-two dimensional space."""
+    """A Hermitian matrix on a power-of-two dimensional space.
+
+    Its spectral decomposition is computed once, on first use of
+    ``spectrum``, and shared by every function of the operator.
+    """
 
     entries: np.ndarray
 
@@ -55,6 +60,18 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def spectrum(self) -> "SpectralDecomposition":
+        return eigendecompose(self)
+
+    @classmethod
+    def from_spectrum(cls, dec: "SpectralDecomposition") -> "HermitianOperator":
+        """U diag(eigenvalues) U^dag, symmetrised, with dec as its spectrum."""
+        m = dec.reconstruct()
+        op = cls((m + m.conj().T) / 2)
+        op.__dict__["spectrum"] = dec  # the cached_property's slot
+        return op
 
     def to_json(self) -> dict:
         return matrix_to_json(self.entries)
@@ -324,8 +341,13 @@ def eigendecompose(op: HermitianOperator) -> SpectralDecomposition:
     return SpectralDecomposition(vals[order], UnitaryOperator(u))
 
 
-def _checked_eigenvalues(dec: SpectralDecomposition, f: FunctionSpec) -> np.ndarray:
-    vals = dec.eigenvalues
+def spectral_values(op: HermitianOperator, f: FunctionSpec) -> np.ndarray:
+    """f on the spectrum of op, in the order of op.spectrum.
+
+    A family defined only for xi >= 0 rejects eigenvalues below
+    -EIGENVALUE_CLIP and sees the rest clipped at zero.
+    """
+    vals = op.spectrum.eigenvalues
     if f.restricted_domain:
         if vals.min() < -EIGENVALUE_CLIP:
             raise DomainError(
@@ -333,14 +355,13 @@ def _checked_eigenvalues(dec: SpectralDecomposition, f: FunctionSpec) -> np.ndar
                 f"family {f.family!r} is only defined for xi >= 0"
             )
         vals = np.maximum(vals, 0.0)
-    return vals
+    return f.evaluate(vals)
 
 
 def function_of_hermitian(op: HermitianOperator, f: FunctionSpec) -> HermitianOperator:
     """f(A) through the eigenbasis: U diag(f(A_x)) U^dag."""
-    dec = eigendecompose(op)
-    fvals = f.evaluate(_checked_eigenvalues(dec, f))
-    u = dec.basis_changer.entries
+    fvals = spectral_values(op, f)
+    u = op.spectrum.basis_changer.entries
     m = (u * fvals) @ u.conj().T
     return HermitianOperator((m + m.conj().T) / 2)
 
@@ -349,7 +370,7 @@ def unitary_exp(op: HermitianOperator, t: float) -> UnitaryOperator:
     """exp(i A t) through the eigenbasis of A."""
     if not np.isfinite(t) or t < 0:
         raise DomainError(f"evolution time must be finite and >= 0, got {t}")
-    dec = eigendecompose(op)
+    dec = op.spectrum
     u = dec.basis_changer.entries
     phases = np.exp(1j * dec.eigenvalues * t)
     return UnitaryOperator((u * phases) @ u.conj().T)
@@ -367,9 +388,8 @@ def exact_diag_element(
         raise DomainError(f"operator dim {a.dim} does not match unitary dim {v.dim}")
     if not 0 <= x0 < a.dim:
         raise DomainError(f"x0={x0} out of range for dimension {a.dim}")
-    dec = eigendecompose(a)
-    fvals = f.evaluate(_checked_eigenvalues(dec, f))
-    overlaps = dec.basis_changer.entries.conj().T @ v.entries[:, x0]
+    fvals = spectral_values(a, f)
+    overlaps = a.spectrum.basis_changer.entries.conj().T @ v.entries[:, x0]
     return float(np.sum(fvals * np.abs(overlaps) ** 2))
 
 

@@ -15,13 +15,14 @@ identical either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .circuit import (
     CircuitConfig,
     check_register_size,
+    eigencomponent_zero_probability,
     leakage_amplitude,
     run_tomography_circuit,
 )
@@ -41,6 +42,7 @@ from .numerics import (
     exact_mean,
     exact_partition,
     function_of_hermitian,
+    spectral_values,
     validate_density,
 )
 from .sampler import (
@@ -135,13 +137,8 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "point_estimate": self.point_estimate,
-            "standard_error": self.standard_error,
-            "n_sam": self.n_sam,
-            "mode": self.mode,
-            "diagnostics": self.diagnostics,
-        }
+        """Same as dataclasses.asdict(report)."""
+        return asdict(self)
 
 
 def choose_gamma(f: FunctionSpec, dt: float, n_probe: int) -> float:
@@ -165,13 +162,16 @@ def shift_nonnegative(h: HermitianOperator):
     """Add a multiple of the identity so the spectrum starts at zero.
 
     Returns (shifted operator, shift); the shift is 0 when the spectrum is
-    already nonnegative.
+    already nonnegative. The shifted operator keeps h's eigenvectors, so
+    both share one decomposition.
     """
-    lam_min = float(np.linalg.eigvalsh(h.entries).min())
+    dec = h.spectrum
+    lam_min = float(dec.eigenvalues[0])
     if lam_min >= 0:
         return h, 0.0
     shift = -lam_min
-    return HermitianOperator(h.entries + shift * np.eye(h.dim)), shift
+    shifted = SpectralDecomposition(dec.eigenvalues + shift, dec.basis_changer)
+    return HermitianOperator.from_spectrum(shifted), shift
 
 
 def _weight_coeffs(g: FunctionSpec):
@@ -193,7 +193,6 @@ class _ResolvedTarget:
     v: UnitaryOperator
     a: HermitianOperator
     f: FunctionSpec
-    shift: float
     circuit: CircuitConfig
 
 
@@ -204,18 +203,17 @@ def resolve_target(spec: ScenarioSpec) -> _ResolvedTarget:
         v = spec.observable.basis_changer
         a = spec.rho
         f = FunctionSpec.identity()
-        shift = 0.0
     elif spec.kind == "B":
-        a, shift = shift_nonnegative(spec.hamiltonian)
+        a, _ = shift_nonnegative(spec.hamiltonian)
         v = spec.observable.basis_changer
         f = FunctionSpec.exponential(spec.beta)
     else:
-        a, shift = shift_nonnegative(spec.hamiltonian)
+        a, _ = shift_nonnegative(spec.hamiltonian)
         v = UnitaryOperator(np.eye(a.dim))
         f = FunctionSpec.weighted_exponential(_weight_coeffs(spec.g), spec.beta)
 
     circuit = circuit_config(a, f, spec.n_probe, spec.dt, spec.gamma)
-    return _ResolvedTarget(v, a, f, shift, circuit)
+    return _ResolvedTarget(v, a, f, circuit)
 
 
 def circuit_config(
@@ -229,7 +227,7 @@ def circuit_config(
 
 
 def _spectral_max(a: HermitianOperator) -> float:
-    top = float(np.linalg.eigvalsh(a.entries).max())
+    top = float(a.spectrum.eigenvalues[-1])
     # An all-zero spectrum sits on grid slot 0 for any dt; pick 1
     # arbitrarily. A negative spectrum is rejected later, by the circuit.
     return top if top > 0 else 1.0
@@ -237,22 +235,31 @@ def _spectral_max(a: HermitianOperator) -> float:
 
 def mu_of_x(spec: ScenarioSpec, x: int, mode: str = "exact-mu") -> float:
     """Diagonal element mu(x) for one basis state, exact or via the circuit."""
-    target = resolve_target(spec)
-    return _mu_single(target, x, mode)
+    if not 0 <= x < spec.dim:
+        raise DomainError(f"x={x} out of range for dimension {spec.dim}")
+    return float(mu_table(spec, mode)[x])
 
 
-def _mu_single(target: _ResolvedTarget, x: int, mode: str) -> float:
+def mu_table(spec: ScenarioSpec, mode: str = "exact-mu") -> np.ndarray:
+    """mu(x) = <x| V^dag f(A) V |x> for every basis state x, in one product.
+
+    mu = (|U^dag V|^2)^T r over the eigenbasis U of A, where r_k is
+    f(lambda_k) in exact mode and, in circuit mode, the circuit's
+    ancilla-zero probability for eigencomponent k over gamma. Circuit mode
+    equals the statevector route (run_tomography_circuit, then
+    ancilla_zero_probability / gamma) without simulating it.
+    """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "exact-mu":
-        return exact_diag_element(target.a, target.v, target.f, x)
-    state = run_tomography_circuit(target.a, target.v, x, target.circuit)
-    return ancilla_zero_probability(state) / target.circuit.gamma
-
-
-def _mu_table(spec: ScenarioSpec, mode: str) -> np.ndarray:
     target = resolve_target(spec)
-    return np.array([_mu_single(target, x, mode) for x in range(spec.dim)])
+    dec = target.a.spectrum
+    if mode == "exact-mu":
+        r = spectral_values(target.a, target.f)
+    else:
+        r = eigencomponent_zero_probability(dec.eigenvalues, target.circuit)
+        r = r / target.circuit.gamma
+    overlaps = np.abs(dec.basis_changer.entries.conj().T @ target.v.entries) ** 2
+    return overlaps.T @ r
 
 
 def _chain_diagnostics(mu: np.ndarray, run, spec: ScenarioSpec) -> dict:
@@ -278,7 +285,7 @@ def run_scenario_mean(spec: ScenarioSpec, mode: str = "exact-mu") -> EstimateRep
     """
     if spec.kind not in ("A", "B"):
         raise DomainError("run_scenario_mean handles kinds A and B only")
-    mu = _mu_table(spec, mode)
+    mu = mu_table(spec, mode)
     run = run_chain(ratio_from_weights(mu), spec.dim, spec.chain_config())
     omega_vals = np.asarray(spec.observable.eigenvalues)
     values = omega_vals[np.asarray(run.samples)]
@@ -300,7 +307,7 @@ def run_scenario_partition(spec: ScenarioSpec, mode: str = "exact-mu") -> Estima
     """
     if spec.kind != "C":
         raise DomainError("run_scenario_partition handles kind C only")
-    mu = _mu_table(spec, mode)
+    mu = mu_table(spec, mode)
     run = run_chain(ratio_from_weights(mu), spec.dim, spec.chain_config())
     samples = np.asarray(run.samples)
     n = len(samples)
@@ -325,7 +332,7 @@ def trace_ratio(zg: EstimateReport, z1: EstimateReport) -> EstimateReport:
             zg.point_estimate * z1.standard_error / z1.point_estimate ** 2,
         )
     )
-    diag = {"numerator": zg.to_json(), "denominator": z1.to_json()}
+    diag = {"numerator": asdict(zg), "denominator": asdict(z1)}
     return EstimateReport(ratio, se, zg.n_sam, zg.mode, diag)
 
 
@@ -374,7 +381,7 @@ def signed_partition(
         float(np.hypot(plus.standard_error, minus.standard_error)),
         spec.n_sam,
         mode,
-        {"plus": plus.to_json(), "minus": minus.to_json()},
+        {"plus": asdict(plus), "minus": asdict(minus)},
     )
 
 
@@ -414,8 +421,7 @@ def exact_oracle(spec: ScenarioSpec, report: EstimateReport | None = None) -> di
         target = resolve_target(spec)
         thermal = function_of_hermitian(target.a, target.f).entries
         rho = HermitianOperator(thermal / np.trace(thermal).real)
-    omega = spec.observable.reconstruct()
-    exact = exact_mean(HermitianOperator((omega + omega.conj().T) / 2), rho)
+    exact = exact_mean(HermitianOperator.from_spectrum(spec.observable), rho)
     if report is None:
         return {"exact_value": exact}
     return {"exact_value": exact, "abs_error": abs(report.point_estimate - exact)}
@@ -440,7 +446,7 @@ def estimate_diagonal(
     state = run_tomography_circuit(a, v, x0, circuit)
     n_slots = circuit.n_slots
     leakage = []
-    for lam in np.linalg.eigvalsh(a.entries):
+    for lam in a.spectrum.eigenvalues:
         k = lam * circuit.dt
         nearest = int(np.round(k * n_slots / (2 * np.pi))) % n_slots
         on_slot = abs(leakage_amplitude(k, nearest, n_slots)) ** 2

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from qest import cli
 from qest.circuit import MAX_STATE_DIM, GateSequence, compose_gate_unitary, multiplexor_block
-from qest.cli import main
+from qest.cli import MAX_WALK_CHAINS, main
 from qest.numerics import FunctionSpec, HermitianOperator, matrix_to_json
 from qest.sampler import MAX_CHAIN_STEPS
 from qest.scenarios import ScenarioSpec, estimate_partition, exact_oracle
@@ -393,3 +394,31 @@ def test_scenario_api_reproduces_partition_report(tmp_path, capsys):
     assert z1.to_json() == report["z_1"]
     assert ratio.to_json() == report["trace_ratio"]
     assert exact_oracle(spec) == report["oracle"]
+
+
+# Walk-gap configs whose walk edge space (N^2 for an N-state chain) or
+# random chain count is over its cap, or with a one-state chain. Rejected
+# at load: no chain or walk operator is built.
+WALK_BAD_SIZE = {
+    "random-dim": {"random": {"n_chains": 1, "dim": 257}},
+    "random-dims": {"random": {"n_chains": 2, "dims": [4, 257]}},
+    "random-n_chains": {"random": {"n_chains": MAX_WALK_CHAINS + 1, "dim": 4}},
+    "random-n_chains-negative": {"random": {"n_chains": -1, "dim": 4}},
+    "explicit-chain": {"chains": [{"transition": np.eye(257).tolist()}]},
+    "explicit-one-state": {"chains": [{"transition": [[1.0]]}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_BAD_SIZE))
+def test_walk_gap_chain_sizes_are_config_errors(case, tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a chain or walk over the cap")
+
+    monkeypatch.setattr(cli, "random_reversible_chain", refuse)
+    monkeypatch.setattr(cli, "szegedy_walk_operator", refuse)
+    path = write_json(tmp_path / "walk.json", WALK_BAD_SIZE[case])
+    code, out, err = run_cli(["walk-gap", "--config", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1

@@ -1,9 +1,13 @@
 """End-to-end scenario runners against closed-form and oracle targets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qest.circuit import MAX_STATE_DIM
+from qest import circuit, numerics, scenarios
+from qest.circuit import MAX_STATE_DIM, run_tomography_circuit
+from qest.estimation import ancilla_zero_probability
 from qest.numerics import (
     DomainError,
     FunctionSpec,
@@ -11,17 +15,22 @@ from qest.numerics import (
     SpectralDecomposition,
     UnitaryOperator,
     eigendecompose,
+    exact_diag_element,
     exact_mean,
     exact_partition,
     function_of_hermitian,
 )
 from qest.scenarios import (
+    KINDS,
+    MODES,
     ScenarioSpec,
     choose_dt,
     choose_gamma,
     estimate_partition,
     exact_oracle,
     mu_of_x,
+    mu_table,
+    resolve_target,
     run_scenario_mean,
     run_scenario_partition,
     shift_nonnegative,
@@ -419,3 +428,115 @@ def test_exact_oracle_mean_matches_numerics():
     assert exact_oracle(spec_a)["exact_value"] == pytest.approx(
         exact_mean(omega, rho), rel=1e-12
     )
+
+
+# ------------------------------------------------------------- mu table
+
+def _table_spec(kind, dim, n_probe, seed):
+    """Off-grid random spectra; kinds A and B get a random V through the
+    observable's eigenbasis, kind B a Hamiltonian that needs shifting."""
+    rng = np.random.default_rng(seed)
+    observable = eigendecompose(random_hermitian(rng, dim))
+    if kind == "A":
+        return ScenarioSpec(
+            kind="A", n_sam=10, seed=0, n_probe=n_probe,
+            observable=observable, rho=random_density(rng, dim),
+        )
+    h = random_hermitian(rng, dim)
+    if kind == "B":
+        return spec_b_fixture(n_sam=10, hamiltonian=h, observable=observable, n_probe=n_probe)
+    g = FunctionSpec.weighted_exponential((0.5, 1.0), 0.0)
+    return spec_c_fixture(g=g, n_sam=10, hamiltonian=h, n_probe=n_probe, beta=0.7)
+
+
+TABLE_CASES = [
+    (kind, dim, n_probe)
+    for kind in KINDS
+    for dim, n_probe in ((4, 3), (16, 4), (64, 5))
+] + [("A", 4, 6), ("B", 16, 6), ("C", 64, 6)]
+
+
+@pytest.mark.parametrize("kind,dim,n_probe", TABLE_CASES)
+def test_circuit_mu_table_matches_statevector(kind, dim, n_probe):
+    spec = _table_spec(kind, dim, n_probe, seed=1000 + dim + n_probe)
+    target = resolve_target(spec)
+    reference = [
+        ancilla_zero_probability(run_tomography_circuit(target.a, target.v, x, target.circuit))
+        / target.circuit.gamma
+        for x in range(dim)
+    ]
+    table = mu_table(spec, "circuit-mu")
+    assert np.abs(table - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
+
+
+@pytest.mark.parametrize("kind,dim,n_probe", TABLE_CASES)
+def test_exact_mu_table_matches_spectral_sum(kind, dim, n_probe):
+    spec = _table_spec(kind, dim, n_probe, seed=2000 + dim + n_probe)
+    target = resolve_target(spec)
+    reference = [exact_diag_element(target.a, target.v, target.f, x) for x in range(dim)]
+    table = mu_table(spec, "exact-mu")
+    assert np.abs(table - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
+
+
+@pytest.mark.parametrize("n_probe", [2, 4, 6])
+def test_circuit_mu_table_keeps_exact_zero_on_grid(n_probe):
+    # Auto dt puts 0..3 on grid slots when 3 divides 2^n_probe - 1. The
+    # identity weight vanishes at 0, so state 0 carries no ancilla-zero
+    # amplitude at all: both routes must give exactly 0, not rounding.
+    spec = spec_c_fixture(
+        g=FunctionSpec.identity(), hamiltonian=HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0])),
+        n_probe=n_probe, n_sam=10,
+    )
+    target = resolve_target(spec)
+    state = run_tomography_circuit(target.a, target.v, 0, target.circuit)
+    table = mu_table(spec, "circuit-mu")
+    assert ancilla_zero_probability(state) == 0.0
+    assert table[0] == 0.0
+    assert np.all(table[1:] > 0)
+    np.testing.assert_allclose(table, mu_table(spec, "exact-mu"), atol=1e-12)
+
+
+def test_mu_of_x_reads_the_table():
+    spec = _table_spec("B", 4, 3, seed=7)
+    for mode in MODES:
+        table = mu_table(spec, mode)
+        assert [mu_of_x(spec, x, mode) for x in range(4)] == table.tolist()
+        with pytest.raises(DomainError, match="out of range"):
+            mu_of_x(spec, 4, mode)
+    with pytest.raises(DomainError, match="mode"):
+        mu_table(spec, "bogus")
+
+
+@pytest.fixture
+def decomposition_count(monkeypatch):
+    """Counts eigendecompose calls; any statevector simulation fails."""
+    calls = []
+    original = numerics.eigendecompose
+
+    def counting(op):
+        calls.append(op)
+        return original(op)
+
+    def no_circuit(*args):
+        raise AssertionError("run_tomography_circuit was called")
+
+    monkeypatch.setattr(numerics, "eigendecompose", counting)
+    monkeypatch.setattr(scenarios, "run_tomography_circuit", no_circuit)
+    monkeypatch.setattr(circuit, "run_tomography_circuit", no_circuit)
+    return calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_decomposition_per_input_operator(kind, decomposition_count):
+    spec = _table_spec(kind, 8, 4, seed=31)
+    decomposition_count.clear()  # the observable was decomposed on input
+    if kind == "C":
+        for mode in MODES:
+            estimate_partition(replace(spec, n_sam=200), mode)
+        exact_oracle(spec)
+    else:
+        for mode in MODES:
+            report = run_scenario_mean(replace(spec, n_sam=200), mode)
+            exact_oracle(spec, report)
+    operator = spec.rho if kind == "A" else spec.hamiltonian
+    assert decomposition_count == [operator]
