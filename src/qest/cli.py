@@ -41,9 +41,9 @@ from .numerics import (
 )
 from .sampler import (
     MAX_CHAIN_STEPS,
-    MAX_WALK_DIM,
     MarkovChain,
     SamplerError,
+    check_walk_size,
     phase_gap,
     spectral_gap,
     szegedy_walk_operator,
@@ -315,12 +315,11 @@ def _chains_from_config(cfg: dict, base: Path, seed: int):
         if not isinstance(item, dict) or "transition" not in item:
             raise ConfigError("chain entries need a 'transition' matrix")
         try:
-            chain = MarkovChain.from_json(item)
+            chains.append(MarkovChain.from_json(item))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad chain entry: {exc}") from exc
-        _check_walk_dim(chain.dim)
-        chains.append(chain)
     rand = cfg.get("random")
+    n_chains, dims = 0, []
     if rand:
         if not isinstance(rand, dict):
             raise ConfigError("'random' must be an object")
@@ -333,27 +332,18 @@ def _chains_from_config(cfg: dict, base: Path, seed: int):
         if not isinstance(dims, list) or not dims:
             raise ConfigError("'dims' must be a nonempty list of integers")
         dims = [_typed(d, int, "a 'dims' entry") for d in dims]
-        for dim in dims:
-            _check_walk_dim(dim)
         proposal = rand.get("proposal", "uniform")
         rng = np.random.default_rng(_seed(rand.get("seed", seed), "random seed"))
-        for i in range(n_chains):
-            chains.append(random_reversible_chain(rng, dims[i % len(dims)], proposal))
+    try:
+        for n in [chain.dim for chain in chains] + dims:
+            check_walk_size(n)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    for i in range(n_chains):
+        chains.append(random_reversible_chain(rng, dims[i % len(dims)], proposal))
     if not chains:
         raise ConfigError("walk-gap config names no chains")
     return chains
-
-
-def _check_walk_dim(dim: int) -> None:
-    """Reject a chain size N the sweep cannot take, before building anything:
-    N < 2, or a walk edge space N^2 above sampler.MAX_WALK_DIM."""
-    if dim < 2:
-        raise ConfigError(f"chain dimensions must be >= 2, got {dim}")
-    if dim * dim > MAX_WALK_DIM:
-        raise ConfigError(
-            f"chain dimension {dim} gives a walk edge space of {dim * dim}, "
-            f"above the cap {MAX_WALK_DIM}"
-        )
 
 
 def cmd_walk_gap(args) -> int:

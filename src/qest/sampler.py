@@ -398,6 +398,19 @@ def _edge_space_isometries(chain: MarkovChain):
     return a, b
 
 
+def check_walk_size(n: int) -> None:
+    """Reject an N-state chain whose walk cannot be built: N < 2, or an edge
+    space of N^2 states above MAX_WALK_DIM. Depends on N alone, so callers
+    can check a size before allocating anything of it."""
+    if n < 2:
+        raise DomainError(f"chain dimensions must be >= 2, got {n}")
+    if n * n > MAX_WALK_DIM:
+        raise DomainError(
+            f"chain dimension {n} gives a walk edge space of {n * n}, "
+            f"above the cap {MAX_WALK_DIM}"
+        )
+
+
 def szegedy_walk_operator(chain: MarkovChain) -> UnitaryOperator:
     """Walk unitary on the doubled space: swap times the edge reflection.
 
@@ -407,10 +420,7 @@ def szegedy_walk_operator(chain: MarkovChain) -> UnitaryOperator:
     or minus arccos of the chain eigenvalues instead of twice that.
     """
     n = chain.dim
-    if n * n > MAX_WALK_DIM:
-        raise DomainError(
-            f"edge space dimension {n * n} exceeds the cap {MAX_WALK_DIM}"
-        )
+    check_walk_size(n)
     a, _ = _edge_space_isometries(chain)
     reflect = 2 * (a @ a.T) - np.eye(n * n)
     w = reflect.reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n)

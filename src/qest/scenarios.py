@@ -252,6 +252,10 @@ def mu_table(spec: ScenarioSpec, mode: str = "exact-mu") -> np.ndarray:
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
     target = resolve_target(spec)
+    if target.a.dim != target.v.dim:
+        raise DomainError(
+            f"operator dim {target.a.dim} does not match unitary dim {target.v.dim}"
+        )
     dec = target.a.spectrum
     if mode == "exact-mu":
         r = spectral_values(target.a, target.f)

@@ -144,6 +144,38 @@ def test_mean_shots_mode_runs(tmp_path, capsys):
     assert report["report"]["mode"] == "circuit-mu"
 
 
+# An observable whose dimension differs from the operator's: a 4-state
+# operator with an 8- or 2-state observable basis.
+DIM_MISMATCH = {
+    "B-wider": ("hamiltonian", 4, 8),
+    "B-narrower": ("hamiltonian", 4, 2),
+    "A-wider": ("rho", 4, 8),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "shots"])
+@pytest.mark.parametrize("case", sorted(DIM_MISMATCH))
+def test_mean_dimension_mismatch_is_domain_error(case, mode, tmp_path, capsys):
+    key, n_op, n_obs = DIM_MISMATCH[case]
+    op = np.diag(np.arange(n_op, dtype=float))
+    if key == "rho":
+        op = np.eye(n_op) / n_op
+    path = mean_config(
+        tmp_path,
+        kind=case[0],
+        **{key: matrix_to_json(op.astype(complex))},
+        observable=matrix_to_json(np.diag(np.arange(n_obs, dtype=float)).astype(complex)),
+        n_sam=100,
+        burn_in=0,
+    )
+    code, out, err = run_cli(["mean", "--config", path, "--mode", mode], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error:")
+    assert f"operator dim {n_op} does not match" in err
+    assert err.count("\n") == 1
+
+
 def test_determinism_modulo_timestamp(tmp_path, capsys):
     path = mean_config(tmp_path)
     _, first, _ = run_cli(["mean", "--config", path, "--seed", "3"], capsys)
