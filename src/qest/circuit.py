@@ -36,6 +36,10 @@ MAX_STATE_DIM = 2 ** 20
 # expanded into explicit gates.
 ANGLE_EMIT_TOL = 1e-12
 
+# Bytes of the float64 column block compose_gate_unitary runs through a gate
+# sequence at once (128 columns at 9 qubits); sized to stay in a core's L2.
+COMPOSE_BLOCK_BYTES = 2 ** 19
+
 
 def check_register_size(n_probe: int, main_dim: int = 2) -> None:
     """Reject a probe count, or a register of 2^n_probe * main_dim * 2
@@ -367,11 +371,7 @@ def expand_multiplexor(angles) -> GateSequence:
         return GateSequence(1, (Gate("RY", 0, angle=float(angles[0])),))
 
     gray = [i ^ (i >> 1) for i in range(n)]
-    signs = np.array(
-        [[-1.0 if bin(x & gray[i]).count("1") % 2 else 1.0 for i in range(n)]
-         for x in range(n)]
-    )
-    slot_angles = signs.T @ angles / n
+    slot_angles = _gray_code_signs(n).T @ angles / n
 
     gates = []
     for i in range(n):
@@ -382,26 +382,83 @@ def expand_multiplexor(angles) -> GateSequence:
     return GateSequence(k + 1, tuple(gates))
 
 
+def _gray_code_signs(n: int) -> np.ndarray:
+    """signs[x, i] = (-1)^popcount(x & gray(i)) over x, i < n, gray(i) = i ^ (i >> 1).
+
+    The parity is an xor-fold of the masked bits, so the whole matrix is a few
+    integer array operations.
+    """
+    i = np.arange(n, dtype=np.int64)
+    bits = i[:, None] & (i ^ (i >> 1))[None, :]
+    for shift in (32, 16, 8, 4, 2, 1):
+        bits ^= bits >> shift
+    return 1.0 - 2.0 * (bits & 1)
+
+
+def _qubit_views(block: np.ndarray, axes, bits):
+    """View of a (2^n, width) block at the given bit of each listed row axis
+    (axis 0 most significant); the other axes fold into the view's axes."""
+    n = block.shape[0].bit_length() - 1
+    shape, select, prev = [], [], 0
+    for ax, bit in sorted(zip(axes, bits)):
+        shape += [2 ** (ax - prev), 2]
+        select += [slice(None), bit]
+        prev = ax + 1
+    shape.append(2 ** (n - prev) * block.shape[1])
+    return block.reshape(shape)[tuple(select)]
+
+
 def compose_gate_unitary(seq: GateSequence) -> np.ndarray:
     """Multiply a gate sequence into a dense unitary (qubit 0 most significant).
 
-    Gates act on a tensor view of the accumulating matrix, so the cost per
-    gate stays at O(dim^2) instead of a dense matrix product.
+    Every gate is real, so the product is built in float64 and cast to
+    complex once. Columns evolve independently: each block of identity
+    columns (COMPOSE_BLOCK_BYTES of float64) runs through the whole sequence
+    while it stays in cache, and each gate updates the block in place in
+    O(dim * block) work. An RY computes c*m0 - s*m1 and s*m0 + c*m1, as a
+    complex product would, so the result does not depend on the blocking.
+    Inside a block the row axes are ordered by how many RY gates target each
+    qubit, most first, so the rotations mostly update contiguous halves.
     """
-    dim = 2 ** seq.n_qubits
-    tensor = np.eye(dim, dtype=complex).reshape((2,) * seq.n_qubits + (dim,))
+    n = seq.n_qubits
+    dim = 2 ** n
+    width = min(dim, max(1, COMPOSE_BLOCK_BYTES // (8 * dim)))
+    targets = [g.target for g in seq.gates if g.name == "RY"]
+    order = sorted(range(n), key=lambda q: -targets.count(q))
+    axis = {q: i for i, q in enumerate(order)}
+    block = np.empty((dim, width))
+    scratch = np.empty(dim * width // 2), np.empty(dim * width // 2)
+    steps = []
     for g in seq.gates:
         if g.name == "RY":
-            c, s = np.cos(g.angle / 2), np.sin(g.angle / 2)
-            moved = np.moveaxis(tensor, g.target, 0)
-            tensor = np.moveaxis(
-                np.stack([c * moved[0] - s * moved[1], s * moved[0] + c * moved[1]]),
-                0,
-                g.target,
-            )
+            m0, m1 = (_qubit_views(block, (axis[g.target],), (b,)) for b in (0, 1))
+            a, b = (buf[:m0.size].reshape(m0.shape) for buf in scratch)
+            steps.append((m0, m1, a, b, np.cos(g.angle / 2), np.sin(g.angle / 2)))
         else:
-            moved = np.moveaxis(tensor, (g.control, g.target), (0, 1))
-            out = moved.copy()
-            out[1] = moved[1, ::-1]
-            tensor = np.moveaxis(out, (0, 1), (g.control, g.target))
-    return tensor.reshape(dim, dim)
+            qubits = (axis[g.control], axis[g.target])
+            m0, m1 = (_qubit_views(block, qubits, (1, b)) for b in (0, 1))
+            steps.append((m0, m1, scratch[0][:m0.size].reshape(m0.shape), None, None, None))
+    # Block row of each standard basis index, and the block seen with its
+    # row axes in the standard qubit order.
+    inverse = list(np.argsort(order))
+    row_of = np.arange(dim).reshape((2,) * n).transpose(inverse).ravel()
+    standard = block.reshape((2,) * n + (width,)).transpose(inverse + [n])
+    columns = np.arange(width)
+    out = np.empty((dim, dim), dtype=complex)
+    for start in range(0, dim, width):
+        block.fill(0.0)
+        block[row_of[start:start + width], columns] = 1.0
+        for m0, m1, a, b, c, s in steps:
+            if c is None:  # CNOT: swap the target halves where the control is 1
+                np.copyto(a, m0)
+                np.copyto(m0, m1)
+                np.copyto(m1, a)
+                continue
+            np.multiply(m0, c, out=a)
+            np.multiply(m1, s, out=b)
+            m1 *= c
+            m0 *= s
+            m1 += m0
+            np.subtract(a, b, out=m0)
+        out[:, start:start + width] = standard.reshape(dim, width)
+    return out

@@ -51,12 +51,11 @@ def ancilla_zero_probability(state: StateVector) -> float:
     return float(np.sum(np.abs(tensor[:, :, 0]) ** 2))
 
 
-def sample_measurements(state: StateVector, n_sam: int, seed: int) -> list:
-    """Draw i.i.d. computational-basis measurements of the full register.
+def _draw_indices(state: StateVector, n_sam: int, seed: int) -> np.ndarray:
+    """Flat amplitude indices of n_sam seeded computational-basis draws.
 
-    Sampling inverts the cumulative amplitude-squared array against uniform
-    draws from a generator seeded with the 64-bit seed, so a repeated seed
-    reproduces the sample list exactly.
+    Inverts the cumulative amplitude-squared array against uniform draws from
+    a generator seeded with the 64-bit seed.
     """
     if n_sam < 1:
         raise DomainError(f"n_sam must be >= 1, got {n_sam}")
@@ -67,7 +66,15 @@ def sample_measurements(state: StateVector, n_sam: int, seed: int) -> list:
     cum /= cum[-1]
     rng = np.random.default_rng(seed)
     draws = rng.random(n_sam)
-    indices = np.searchsorted(cum, draws, side="right")
+    return np.searchsorted(cum, draws, side="right")
+
+
+def sample_measurements(state: StateVector, n_sam: int, seed: int) -> list:
+    """Draw i.i.d. computational-basis measurements of the full register.
+
+    A repeated seed reproduces the sample list exactly (see _draw_indices).
+    """
+    indices = _draw_indices(state, n_sam, seed)
     main_states = state.n_main_states
     records = []
     for idx in indices:
@@ -76,6 +83,16 @@ def sample_measurements(state: StateVector, n_sam: int, seed: int) -> list:
         j = int(idx >> (state.n_main + 1))
         records.append(SampleRecord(j, x, b))
     return records
+
+
+def ancilla_zero_frequency(state: StateVector, n_sam: int, seed: int) -> float:
+    """Fraction of n_sam seeded measurements that find the ancilla in |0>.
+
+    The same draws as sample_measurements(state, n_sam, seed), counted
+    without building the records.
+    """
+    indices = _draw_indices(state, n_sam, seed)
+    return int(np.count_nonzero((indices & 1) == 0)) / n_sam
 
 
 def empirical_distribution(samples, registers=REGISTERS) -> EmpiricalDistribution:

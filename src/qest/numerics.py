@@ -88,8 +88,16 @@ class UnitaryOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.entries)
-        dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+        raw = np.asarray(self.entries)
+        m = _as_complex_matrix(raw)
+        if raw.dtype.kind in "biuf":
+            # Real input: U^dag U is U^T U, so the check runs in real BLAS.
+            real = np.ascontiguousarray(raw, dtype=float)
+            gram = real.T @ real
+        else:
+            gram = m.conj().T @ m
+        gram[np.diag_indices_from(gram)] -= 1.0
+        dev = np.abs(gram).max()
         if dev > UNITARITY_TOL:
             raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {dev:.3e}")
         m.flags.writeable = False

@@ -51,6 +51,8 @@ class MarkovChain:
         p = np.array(self.transition, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise DomainError(f"transition matrix must be square, got {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise DomainError("transition matrix has non-finite entries")
         if p.min() < 0:
             raise DomainError(f"negative transition probability {p.min():.3e}")
         rows = p.sum(axis=1)
@@ -62,6 +64,8 @@ class MarkovChain:
         object.__setattr__(self, "transition", p)
         if self.stationary is not None:
             pi = np.array(self.stationary, dtype=float)
+            if not np.all(np.isfinite(pi)):
+                raise DomainError("stationary vector has non-finite entries")
             if pi.shape != (p.shape[0],) or pi.min() < 0 or abs(pi.sum() - 1) > 1e-10:
                 raise DomainError("stationary vector is not a distribution")
             if np.abs(pi @ p - pi).max() > BALANCE_TOL:
@@ -421,10 +425,16 @@ def szegedy_walk_operator(chain: MarkovChain) -> UnitaryOperator:
     """
     n = chain.dim
     check_walk_size(n)
-    a, _ = _edge_space_isometries(chain)
-    reflect = 2 * (a @ a.T) - np.eye(n * n)
-    w = reflect.reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n)
-    return UnitaryOperator(w)
+    # Pi_A = A A^T is block diagonal, block x the outer product of
+    # sqrt(P[x, :]) with itself, and S moves row (x, y) to (y, x). So
+    # W[(y, x), (x, y')] = 2 sqrt(P[x, y]) sqrt(P[x, y']) - [y == y'] and every
+    # other entry is zero; the products are the ones A A^T forms.
+    root = np.sqrt(chain.transition)
+    w = np.zeros((n, n, n, n))  # indexed [y, x, x', y']
+    idx = np.arange(n)
+    w[:, idx, idx, :] = (2 * (root[:, :, None] * root[:, None, :])).transpose(1, 0, 2)
+    w[idx[:, None], idx, idx, idx[:, None]] -= 1.0
+    return UnitaryOperator(w.reshape(n * n, n * n))
 
 
 def _invariant_subspace_basis(chain: MarkovChain) -> np.ndarray:

@@ -27,10 +27,9 @@ from .circuit import (
     run_tomography_circuit,
 )
 from .estimation import (
+    ancilla_zero_frequency,
     ancilla_zero_probability,
-    empirical_distribution,
     estimate_diag_element,
-    sample_measurements,
 )
 from .numerics import (
     DomainError,
@@ -462,8 +461,7 @@ def estimate_diagonal(
                 "off_slot_mass": float(1 - on_slot),
             }
         )
-    samples = sample_measurements(state, n_sam, seed)
-    freq = empirical_distribution(samples, ("ancilla",)).frequency((0,))
+    freq = ancilla_zero_frequency(state, n_sam, seed)
     return {
         "exact_mu": exact_mu,
         "circuit_mu": estimate_diag_element(ancilla_zero_probability(state), circuit.gamma),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qest.circuit import (
+    COMPOSE_BLOCK_BYTES,
     MAX_STATE_DIM,
     CircuitConfig,
     Gate,
@@ -24,6 +25,7 @@ from qest.circuit import (
     multiplexor_block,
     prepare_initial_state,
     run_tomography_circuit,
+    _gray_code_signs,
 )
 from qest.numerics import (
     DomainError,
@@ -508,3 +510,90 @@ def test_size_cap_rejects_one_qubit_over():
     config = CircuitConfig(cap_qubits - 3, 1.0, 1.0, f)
     with pytest.raises(DomainError, match="cap"):
         prepare_initial_state(0, UnitaryOperator(np.eye(8)), config)
+
+
+def reference_compose_gate_unitary(seq: GateSequence) -> np.ndarray:
+    """The complex moveaxis/stack composition, one full tensor copy per gate."""
+    dim = 2 ** seq.n_qubits
+    tensor = np.eye(dim, dtype=complex).reshape((2,) * seq.n_qubits + (dim,))
+    for g in seq.gates:
+        if g.name == "RY":
+            c, s = np.cos(g.angle / 2), np.sin(g.angle / 2)
+            moved = np.moveaxis(tensor, g.target, 0)
+            tensor = np.moveaxis(
+                np.stack([c * moved[0] - s * moved[1], s * moved[0] + c * moved[1]]),
+                0,
+                g.target,
+            )
+        else:
+            moved = np.moveaxis(tensor, (g.control, g.target), (0, 1))
+            out = moved.copy()
+            out[1] = moved[1, ::-1]
+            tensor = np.moveaxis(out, (0, 1), (g.control, g.target))
+    return tensor.reshape(dim, dim)
+
+
+def _random_sequence(rng, n_qubits: int, n_gates: int) -> GateSequence:
+    gates = []
+    for _ in range(n_gates):
+        if n_qubits == 1 or rng.random() < 0.5:
+            gates.append(Gate("RY", int(rng.integers(n_qubits)), angle=float(rng.uniform(-7, 7))))
+        else:
+            control, target = rng.choice(n_qubits, 2, replace=False)
+            gates.append(Gate("CNOT", int(target), control=int(control)))
+    return GateSequence(n_qubits, tuple(gates))
+
+
+def test_compose_bitwise_equals_reference_on_generic_sequences():
+    rng = np.random.default_rng(211)
+    empty = GateSequence(0, ())
+    assert np.array_equal(compose_gate_unitary(empty), reference_compose_gate_unitary(empty))
+    for n_qubits in range(1, 7):
+        for n_gates in (0, 1, 5, 40):
+            seq = _random_sequence(rng, n_qubits, n_gates)
+            got = compose_gate_unitary(seq)
+            assert got.dtype == complex
+            assert np.array_equal(got, reference_compose_gate_unitary(seq))
+
+
+def test_compose_bitwise_equals_reference_at_register_edges():
+    rng = np.random.default_rng(223)
+    last = 4
+    for control, target in ((0, last), (last, 0), (2, 0), (2, last), (last, 2), (0, 2)):
+        gates = [
+            Gate("RY", target, angle=0.9),
+            Gate("CNOT", target, control=control),
+            Gate("RY", control, angle=-2.3),
+            Gate("RY", target, angle=float(rng.uniform(-7, 7))),
+            Gate("CNOT", target, control=control),
+        ]
+        seq = GateSequence(last + 1, tuple(gates))
+        assert np.array_equal(compose_gate_unitary(seq), reference_compose_gate_unitary(seq))
+
+
+def test_compose_bitwise_across_several_column_blocks():
+    # 2^9 rows give a block narrower than the matrix, so columns are
+    # composed in more than one block.
+    n_qubits = 9
+    assert COMPOSE_BLOCK_BYTES // (8 * 2 ** n_qubits) < 2 ** n_qubits
+    seq = _random_sequence(np.random.default_rng(227), n_qubits, 30)
+    assert np.array_equal(compose_gate_unitary(seq), reference_compose_gate_unitary(seq))
+
+
+def test_compose_bitwise_equals_reference_on_multiplexors():
+    rng = np.random.default_rng(229)
+    for k in range(0, 9):
+        seq = expand_multiplexor(rng.uniform(-np.pi, np.pi, 2 ** k))
+        assert np.array_equal(compose_gate_unitary(seq), reference_compose_gate_unitary(seq))
+
+
+def test_gray_code_signs_match_the_popcount_loop():
+    for n in (1, 2, 4, 8, 64, 256):
+        gray = [i ^ (i >> 1) for i in range(n)]
+        loop = np.array(
+            [[-1.0 if bin(x & gray[i]).count("1") % 2 else 1.0 for i in range(n)]
+             for x in range(n)]
+        )
+        signs = _gray_code_signs(n)
+        assert signs.dtype == loop.dtype and signs.flags.c_contiguous
+        assert np.array_equal(signs, loop)

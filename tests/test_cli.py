@@ -454,3 +454,24 @@ def test_walk_gap_chain_sizes_are_config_errors(case, tmp_path, capsys, monkeypa
     assert out == ""
     assert err.startswith("config error:")
     assert err.count("\n") == 1
+
+
+# Walk-gap chains with a JSON null (nan) entry; the first used to end in a
+# LinAlgError traceback and the second in an "ok" row.
+WALK_NON_FINITE = {
+    "transition": {"chains": [{"transition": [[0.5, None], [0.5, 0.5]]}]},
+    "stationary": {
+        "chains": [{"transition": [[0.75, 0.25], [0.5, 0.5]], "stationary": [None, 1.0]}]
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_NON_FINITE))
+def test_walk_gap_non_finite_chain_is_config_error(case, tmp_path, capsys):
+    path = write_json(tmp_path / "walk.json", WALK_NON_FINITE[case])
+    code, out, err = run_cli(["walk-gap", "--config", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert "non-finite" in err
+    assert err.count("\n") == 1

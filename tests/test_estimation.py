@@ -6,6 +6,7 @@ import pytest
 from qest.circuit import CircuitConfig, StateVector, run_tomography_circuit
 from qest.estimation import (
     SampleRecord,
+    ancilla_zero_frequency,
     ancilla_zero_probability,
     empirical_distribution,
     estimate_diag_element,
@@ -16,6 +17,7 @@ from qest.estimation import (
 from qest.numerics import (
     DomainError,
     FunctionSpec,
+    HermitianOperator,
     UnitaryOperator,
     exact_diag_element,
 )
@@ -166,3 +168,25 @@ def test_csv_round_trip():
     text = samples_to_csv(samples)
     assert text.splitlines()[0] == "s,probe,main,ancilla"
     assert samples_from_csv(text) == samples
+
+
+def test_ancilla_zero_frequency_counts_the_sampled_records():
+    states = [fixture_state(seed=s, n_probe=p)[3] for s, p in ((0, 2), (3, 3), (5, 4))]
+    rng = np.random.default_rng(241)
+    a = np.diag(np.arange(4.0))
+    cfg = CircuitConfig(3, 0.9, 1.0, FunctionSpec.exponential(0.3))
+    states.append(run_tomography_circuit(HermitianOperator(a), random_unitary(rng, 4), 2, cfg))
+    for state in states:
+        for n_sam in (1, 7, 1000, 20000):
+            for seed in (0, 17, 2 ** 64 - 1):
+                records = sample_measurements(state, n_sam, seed)
+                want = empirical_distribution(records, ("ancilla",)).frequency((0,))
+                assert ancilla_zero_frequency(state, n_sam, seed) == want
+
+
+def test_ancilla_zero_frequency_validates_arguments():
+    state = fixture_state()[3]
+    with pytest.raises(DomainError):
+        ancilla_zero_frequency(state, 0, 1)
+    with pytest.raises(DomainError):
+        ancilla_zero_frequency(state, 10, -1)

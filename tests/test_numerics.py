@@ -368,3 +368,30 @@ def test_tabulated_rejects_off_grid_query():
     assert spec.evaluate(1.0 + 1e-10) == pytest.approx(2.0)
     with pytest.raises(DomainError):
         spec.evaluate(0.5)
+
+
+@pytest.mark.parametrize("excess", [2e-11, 2e-10])
+@pytest.mark.parametrize("dim", [1, 4, 7])
+def test_unitary_check_same_on_real_and_complex_input(excess, dim):
+    # (1 + e) I deviates from unitarity by (1 + e)^2 - 1, about 2e: below
+    # UNITARITY_TOL for e = 2e-11 and above it for e = 2e-10.
+    real = (1 + excess) * np.eye(dim)
+    outcomes = []
+    for entries in (real, real.astype(complex)):
+        try:
+            UnitaryOperator(entries)
+            outcomes.append(None)
+        except DomainError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is None) == (excess < 1e-10)
+
+
+def test_unitary_real_input_stored_complex():
+    rng = np.random.default_rng(239)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    u = UnitaryOperator(q)
+    assert u.entries.dtype == complex
+    assert np.array_equal(u.entries, q.astype(complex))
+    with pytest.raises(DomainError, match="not unitary"):
+        UnitaryOperator(q[:, ::-1] * 1.001)

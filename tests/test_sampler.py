@@ -519,3 +519,38 @@ def test_chain_config_caps_total_steps():
 def test_bit_flip_needs_two_states():
     with pytest.raises(DomainError):
         run_chain(ratio_from_weights(np.ones(1)), 1, ChainConfig(10, seed=1))
+
+
+@pytest.mark.parametrize(
+    "transition, stationary",
+    [
+        ([[0.5, np.nan], [0.5, 0.5]], None),
+        ([[np.inf, 0.0], [0.5, 0.5]], None),
+        ([[0.75, 0.25], [0.5, 0.5]], [np.nan, 1.0]),
+        ([[0.75, 0.25], [0.5, 0.5]], [2 / 3, np.inf]),
+    ],
+)
+def test_markov_chain_rejects_non_finite_entries(transition, stationary):
+    with pytest.raises(DomainError, match="non-finite"):
+        MarkovChain(np.array(transition), None if stationary is None else np.array(stationary))
+
+
+def reference_szegedy_walk(chain: MarkovChain) -> np.ndarray:
+    """S (2 A A^T - I) from the dense edge-space isometry A."""
+    n = chain.dim
+    root = np.sqrt(chain.transition)
+    a = np.zeros((n * n, n))
+    for x in range(n):
+        a[x * n:(x + 1) * n, x] = root[x, :]
+    reflect = 2 * (a @ a.T) - np.eye(n * n)
+    return reflect.reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n)
+
+
+def test_walk_bitwise_equals_dense_reference():
+    rng = np.random.default_rng(233)
+    chains = [MarkovChain(np.eye(2)), MarkovChain(np.array([[0.0, 1.0], [1.0, 0.0]]))]
+    for dim in (2, 3, 5, 8, 16):
+        for proposal in ("uniform", "single-bit-flip") if dim in (2, 8, 16) else ("uniform",):
+            chains.append(random_reversible_chain(rng, dim, proposal))
+    for chain in chains:
+        assert np.array_equal(szegedy_walk_operator(chain).entries, reference_szegedy_walk(chain))
