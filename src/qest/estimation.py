@@ -15,7 +15,7 @@ from .numerics import DomainError
 REGISTERS = ("probe", "main", "ancilla")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleRecord:
     """One measurement of all three registers in the computational basis."""
 
@@ -75,14 +75,10 @@ def sample_measurements(state: StateVector, n_sam: int, seed: int) -> list:
     A repeated seed reproduces the sample list exactly (see _draw_indices).
     """
     indices = _draw_indices(state, n_sam, seed)
-    main_states = state.n_main_states
-    records = []
-    for idx in indices:
-        b = int(idx & 1)
-        x = int((idx >> 1) % main_states)
-        j = int(idx >> (state.n_main + 1))
-        records.append(SampleRecord(j, x, b))
-    return records
+    j = (indices >> (state.n_main + 1)).tolist()
+    x = ((indices >> 1) % state.n_main_states).tolist()
+    b = (indices & 1).tolist()
+    return list(map(SampleRecord, j, x, b))
 
 
 def ancilla_zero_frequency(state: StateVector, n_sam: int, seed: int) -> float:

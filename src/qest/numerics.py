@@ -30,6 +30,8 @@ def _as_complex_matrix(entries) -> np.ndarray:
     m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("matrix has non-finite entries")
     return m
 
 

@@ -1,9 +1,11 @@
 """Metropolis sampling from ratio oracles and quantum-walk gap diagnostics.
 
 The sampler only ever sees ratios mu(x')/mu(x), so any overall scale of the
-target measure is irrelevant. The walk side builds the bipartite reflection
-operator for a reversible chain and reads mixing information out of its
-eigenphases, which sit at plus or minus arccos of the chain eigenvalues.
+target measure is irrelevant. The walk side reads mixing information out of
+the walk's eigenphases, which sit at plus or minus arccos of the chain
+eigenvalues: from the N x N discriminant (discriminant_phase_gap), or from
+the dense N^2 x N^2 bipartite reflection operator, which is kept as its
+oracle.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +25,14 @@ PROPOSALS = ("uniform", "single-bit-flip")
 
 # Hard cap on the edge-space dimension N_S^2 for walk construction.
 MAX_WALK_DIM = 2 ** 16
+
+# Bytes the dense walk of an N-state chain holds at once, per edge-space
+# matrix entry: the float64 array, its complex copy and the real Gram product
+# of the unitarity check.
+DENSE_WALK_BYTES_PER_ENTRY = 32
+
+# Budget for the dense N^2 x N^2 walk, the oracle path: admits N <= 64.
+MAX_DENSE_WALK_BYTES = 2 ** 29
 
 # Eigenphases below this magnitude count as zero when the phase gap is taken.
 PHASE_ZERO_TOL = 1e-9
@@ -79,6 +90,23 @@ class MarkovChain:
     @property
     def dim(self) -> int:
         return self.transition.shape[0]
+
+    @cached_property
+    def _solved_stationary(self) -> np.ndarray:
+        # Solved once per chain: spectral_gap and discriminant_phase_gap
+        # both need it for a chain given without a stationary vector.
+        vals, vecs = np.linalg.eig(self.transition.T)
+        idx = int(np.argmin(np.abs(vals - 1)))
+        if abs(vals[idx] - 1) > 1e-8:
+            raise DomainError("chain has no eigenvalue 1; not a stochastic matrix?")
+        pi = vecs[:, idx].real
+        pi = np.abs(pi)
+        total = pi.sum()
+        if total <= 0:
+            raise DomainError("failed to extract a stationary distribution")
+        pi /= total
+        pi.flags.writeable = False
+        return pi
 
     def to_json(self) -> dict:
         obj = {"dim": self.dim, "transition": self.transition.tolist()}
@@ -368,16 +396,7 @@ def spectral_gap(chain: MarkovChain) -> float:
 def _stationary(chain: MarkovChain) -> np.ndarray:
     if chain.stationary is not None:
         return chain.stationary
-    vals, vecs = np.linalg.eig(chain.transition.T)
-    idx = int(np.argmin(np.abs(vals - 1)))
-    if abs(vals[idx] - 1) > 1e-8:
-        raise DomainError("chain has no eigenvalue 1; not a stochastic matrix?")
-    pi = vecs[:, idx].real
-    pi = np.abs(pi)
-    total = pi.sum()
-    if total <= 0:
-        raise DomainError("failed to extract a stationary distribution")
-    return pi / total
+    return chain._solved_stationary
 
 
 def _check_reversible(chain: MarkovChain, pi: np.ndarray) -> None:
@@ -425,6 +444,12 @@ def szegedy_walk_operator(chain: MarkovChain) -> UnitaryOperator:
     """
     n = chain.dim
     check_walk_size(n)
+    need = DENSE_WALK_BYTES_PER_ENTRY * n ** 4
+    if need > MAX_DENSE_WALK_BYTES:
+        raise DomainError(
+            f"dense walk of a {n}-state chain needs {need} bytes, "
+            f"above the budget {MAX_DENSE_WALK_BYTES}"
+        )
     # Pi_A = A A^T is block diagonal, block x the outer product of
     # sqrt(P[x, :]) with itself, and S moves row (x, y) to (y, x). So
     # W[(y, x), (x, y')] = 2 sqrt(P[x, y]) sqrt(P[x, y']) - [y == y'] and every
@@ -469,6 +494,33 @@ def phase_gap(walk: UnitaryOperator, chain: MarkovChain) -> float:
     if nonzero.size == 0:
         raise DomainError("walk spectrum is degenerate: no nonzero eigenphase")
     return float(nonzero.min())
+
+
+def discriminant_phase_gap(chain: MarkovChain) -> float:
+    """Phase gap of the walk read from the chain's discriminant, in O(N^3).
+
+    The walk's eigenphases on its invariant edge subspace are 0 for the top
+    eigenvalue 1 of D = sqrt(P * P^T) and plus or minus arccos(lambda) for
+    each other eigenvalue lambda (Szegedy, FOCS 2004), so the smallest
+    nonzero magnitude is arccos of the second-largest. This is
+    phase_gap(szegedy_walk_operator(chain), chain) without the N^2 x N^2
+    walk, which stays as its test oracle.
+
+    The top eigenvalue is dropped by index, not by a phase threshold: arccos
+    of 1 - 1e-16 is about 1.5e-8, so rounding alone would pass a threshold.
+    Phase gaps below about 1e-8 are therefore not resolved; a second
+    eigenvalue that rounds to 1 (the identity chain) is degenerate. A chain
+    that is not reversible is rejected: its D need not have the eigenvalue
+    1, and then the top eigenvalue is a nonzero phase too.
+    """
+    check_walk_size(chain.dim)
+    _check_reversible(chain, _stationary(chain))
+    p = chain.transition
+    vals = np.linalg.eigvalsh(np.sqrt(p * p.T))  # ascending
+    gap = float(np.arccos(np.clip(vals[-2], -1.0, 1.0)))
+    if gap == 0.0:
+        raise DomainError("walk spectrum is degenerate: no nonzero eigenphase")
+    return gap
 
 
 def trajectory_to_csv(samples) -> str:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qest import cli
+from qest import cli, sampler
 from qest.circuit import MAX_STATE_DIM, GateSequence, compose_gate_unitary, multiplexor_block
 from qest.cli import MAX_WALK_CHAINS, main
 from qest.numerics import FunctionSpec, HermitianOperator, matrix_to_json
@@ -270,6 +270,25 @@ def test_walk_gap_flags_non_reversible_row(tmp_path, capsys):
     assert out.strip().splitlines()[-1] == ",,,non-reversible"
 
 
+def test_walk_gap_does_not_build_the_dense_walk(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("walk-gap used the dense walk")
+
+    monkeypatch.setattr(sampler, "szegedy_walk_operator", refuse)
+    monkeypatch.setattr(sampler, "phase_gap", refuse)
+    path = write_json(
+        tmp_path / "walk.json", {"random": {"n_chains": 3, "dims": [4, 32, 256], "seed": 7}}
+    )
+    code, out, err = run_cli(["walk-gap", "--config", path], capsys)
+    assert code == 0
+    assert err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert row[3] == "ok"
+        assert float(row[2]) >= 1.0
+
+
 def test_walk_gap_empty_config(tmp_path, capsys):
     path = write_json(tmp_path / "walk.json", {})
     code, _, _ = run_cli(["walk-gap", "--config", path], capsys)
@@ -447,7 +466,7 @@ def test_walk_gap_chain_sizes_are_config_errors(case, tmp_path, capsys, monkeypa
         raise AssertionError("built a chain or walk over the cap")
 
     monkeypatch.setattr(cli, "random_reversible_chain", refuse)
-    monkeypatch.setattr(cli, "szegedy_walk_operator", refuse)
+    monkeypatch.setattr(cli, "discriminant_phase_gap", refuse)
     path = write_json(tmp_path / "walk.json", WALK_BAD_SIZE[case])
     code, out, err = run_cli(["walk-gap", "--config", path], capsys)
     assert code == 2

@@ -6,6 +6,7 @@ import pytest
 from qest.circuit import CircuitConfig, StateVector, run_tomography_circuit
 from qest.estimation import (
     SampleRecord,
+    _draw_indices,
     ancilla_zero_frequency,
     ancilla_zero_probability,
     empirical_distribution,
@@ -182,6 +183,35 @@ def test_ancilla_zero_frequency_counts_the_sampled_records():
                 records = sample_measurements(state, n_sam, seed)
                 want = empirical_distribution(records, ("ancilla",)).frequency((0,))
                 assert ancilla_zero_frequency(state, n_sam, seed) == want
+
+
+def reference_sample_measurements(state, n_sam, seed):
+    """The per-index decode that sample_measurements replaced, kept as its oracle."""
+    records = []
+    for idx in _draw_indices(state, n_sam, seed):
+        b = int(idx & 1)
+        x = int((idx >> 1) % state.n_main_states)
+        j = int(idx >> (state.n_main + 1))
+        records.append(SampleRecord(j, x, b))
+    return records
+
+
+def test_sample_records_equal_the_per_index_decode():
+    states = [fixture_state(seed=s, n_probe=p)[3] for s, p in ((0, 2), (3, 3), (5, 4))]
+    rng = np.random.default_rng(243)
+    cfg = CircuitConfig(3, 0.9, 1.0, FunctionSpec.exponential(0.3))
+    a = HermitianOperator(np.diag(np.arange(8.0)))
+    states.append(run_tomography_circuit(a, random_unitary(rng, 8), 5, cfg))
+    for state in states:
+        for n_sam in (1, 1000):
+            for seed in (0, 2 ** 64 - 1):
+                records = sample_measurements(state, n_sam, seed)
+                assert records == reference_sample_measurements(state, n_sam, seed)
+                assert all(
+                    type(v) is int
+                    for rec in records
+                    for v in (rec.probe_outcome, rec.main_outcome, rec.ancilla_outcome)
+                )
 
 
 def test_ancilla_zero_frequency_validates_arguments():

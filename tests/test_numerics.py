@@ -395,3 +395,23 @@ def test_unitary_real_input_stored_complex():
     assert np.array_equal(u.entries, q.astype(complex))
     with pytest.raises(DomainError, match="not unitary"):
         UnitaryOperator(q[:, ::-1] * 1.001)
+
+
+NON_FINITE = {
+    "nan-filled": np.full((2, 2), np.nan),
+    "inf-filled": np.full((2, 2), np.inf),
+    "nan-entry": np.array([[1.0, 0.0], [0.0, np.nan]]),
+    "neg-inf-entry": np.array([[-np.inf, 0.0], [0.0, 1.0]]),
+    "complex-nan-part": np.array([[1.0, 0.0], [0.0, complex(1.0, np.nan)]]),
+    "complex-inf-part": np.array([[1.0, complex(np.inf, 0.0)], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+@pytest.mark.parametrize("operator", [HermitianOperator, UnitaryOperator])
+def test_operators_reject_non_finite_entries(operator, case):
+    # nan deviations compare False against any tolerance, so without this
+    # check a nan-filled matrix passed both the Hermiticity and the
+    # unitarity test.
+    with pytest.raises(DomainError, match="non-finite"):
+        operator(NON_FINITE[case])

@@ -1,17 +1,22 @@
 """Metropolis sampling, chain spectra, and the walk-operator gap relation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qest.numerics import DomainError, HermitianOperator, exact_partition, FunctionSpec
 from qest.sampler import (
+    DENSE_WALK_BYTES_PER_ENTRY,
     MAX_CHAIN_STEPS,
+    MAX_DENSE_WALK_BYTES,
     ChainConfig,
     ChainRun,
     MarkovChain,
     SamplerError,
     build_metropolis_matrix,
     chain_eigenvalues,
+    discriminant_phase_gap,
     metropolis_sample,
     phase_gap,
     ratio_from_weights,
@@ -554,3 +559,147 @@ def test_walk_bitwise_equals_dense_reference():
             chains.append(random_reversible_chain(rng, dim, proposal))
     for chain in chains:
         assert np.array_equal(szegedy_walk_operator(chain).entries, reference_szegedy_walk(chain))
+
+
+# ------------------------------------- discriminant gap vs the dense walk
+
+def dense_phase_gap(chain):
+    return phase_gap(szegedy_walk_operator(chain), chain)
+
+
+def assert_gap_matches_dense_walk(chain):
+    assert discriminant_phase_gap(chain) == pytest.approx(dense_phase_gap(chain), rel=1e-12)
+
+
+def weighted_graph_chain(weights):
+    """Random walk on a symmetric weighted graph: reversible, pi ~ row sums."""
+    w = np.asarray(weights, dtype=float)
+    return MarkovChain(w / w.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("dim", range(2, 33))
+def test_discriminant_gap_matches_dense_walk_random_chains(dim):
+    proposals = ("uniform", "single-bit-flip") if dim & (dim - 1) == 0 else ("uniform",)
+    for proposal in proposals:
+        for seed in range(3):
+            rng = np.random.default_rng([1300, dim, seed])
+            assert_gap_matches_dense_walk(random_reversible_chain(rng, dim, proposal))
+
+
+def test_discriminant_gap_matches_dense_walk_periodic_chains():
+    # Bipartite chains have eigenvalue -1; the gap is still set by lambda_2.
+    rng = np.random.default_rng(1311)
+    chains = [MarkovChain(np.array([[0.0, 1.0], [1.0, 0.0]]))]
+    for dim in (4, 6, 10):  # cycles of even length
+        ring = np.roll(np.eye(dim), 1, axis=1)
+        chains.append(weighted_graph_chain(ring + ring.T))
+    for left, right in ((2, 3), (3, 5), (4, 4)):
+        w = np.zeros((left + right, left + right))
+        w[:left, left:] = rng.uniform(0.1, 1.0, size=(left, right))
+        chains.append(weighted_graph_chain(w + w.T))
+    for chain in chains:
+        assert chain_eigenvalues(chain)[-1] == pytest.approx(-1.0, abs=1e-12)
+        assert_gap_matches_dense_walk(chain)
+    assert discriminant_phase_gap(chains[0]) == np.pi
+
+
+def test_discriminant_gap_matches_dense_walk_with_zero_entries():
+    rng = np.random.default_rng(1312)
+    for dim in (3, 5, 8, 12):
+        for _ in range(3):
+            w = rng.uniform(0.1, 1.0, size=(dim, dim)) * (rng.random((dim, dim)) < 0.4)
+            w = np.triu(w, 1)
+            w += w.T + np.diag(rng.uniform(0.0, 0.5, size=dim) * (rng.random(dim) < 0.5))
+            path = np.eye(dim, k=1) * 0.2  # keeps the graph connected
+            chain = weighted_graph_chain(w + path + path.T)
+            assert (chain.transition == 0).any()
+            assert_gap_matches_dense_walk(chain)
+
+
+def test_discriminant_gap_matches_dense_walk_with_transient_state():
+    chains = [
+        MarkovChain(np.array([[1.0, 0.0], [1.0, 0.0]])),
+        MarkovChain(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]])),
+        MarkovChain(
+            np.array([[0.75, 0.25, 0.0], [0.5, 0.5, 0.0], [0.2, 0.2, 0.6]]),
+            np.array([2.0, 1.0, 0.0]) / 3,
+        ),
+    ]
+    for chain in chains:
+        assert_gap_matches_dense_walk(chain)
+    assert discriminant_phase_gap(chains[0]) == pytest.approx(np.pi / 2, abs=1e-15)
+
+
+def test_discriminant_gap_on_the_walk_fixtures():
+    fixtures = [
+        (MarkovChain(np.array([[0.75, 0.25], [0.25, 0.75]])), np.pi / 3),  # lazy
+        (MarkovChain(np.full((2, 2), 0.5)), np.pi / 2),  # lambda = 0
+        (build_metropolis_matrix(np.array([2.0, 1.0]), "uniform"), np.arccos(0.25)),
+    ]
+    for chain, want in fixtures:
+        assert discriminant_phase_gap(chain) == pytest.approx(want, abs=1e-14)
+        assert_gap_matches_dense_walk(chain)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+def test_degenerate_chains_raise_on_both_paths(dim):
+    chain = MarkovChain(np.eye(dim))
+    with pytest.raises(DomainError):
+        dense_phase_gap(chain)
+    with pytest.raises(DomainError):
+        discriminant_phase_gap(chain)
+
+
+def test_discriminant_gap_rejects_non_reversible_chains():
+    # D = sqrt(P * P^T) of these chains has no eigenvalue 1, so dropping the
+    # top one would skip the dense walk's smallest phase.
+    rng = np.random.default_rng(1314)
+    chains = [MarkovChain(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]))]
+    for dim in (3, 4, 6):
+        p = rng.random((dim, dim))
+        chains.append(MarkovChain(p / p.sum(axis=1, keepdims=True)))
+    for chain in chains:
+        assert np.linalg.eigvalsh(np.sqrt(chain.transition * chain.transition.T))[-1] < 0.99
+        with pytest.raises(DomainError, match="not reversible"):
+            discriminant_phase_gap(chain)
+
+
+def test_discriminant_gap_reaches_the_walk_size_cap():
+    rng = np.random.default_rng(1313)
+    chain = random_reversible_chain(rng, 256, "uniform")
+    gap = discriminant_phase_gap(chain)
+    assert gap == pytest.approx(np.arccos(chain_eigenvalues(chain)[1]), rel=1e-12)
+    assert gap >= np.sqrt(2 * spectral_gap(chain))
+    with pytest.raises(DomainError, match="above the cap"):
+        discriminant_phase_gap(MarkovChain(np.full((257, 257), 1 / 257)))
+
+
+def test_dense_walk_budget_admits_sixty_four_states():
+    assert DENSE_WALK_BYTES_PER_ENTRY * 64 ** 4 <= MAX_DENSE_WALK_BYTES
+    assert DENSE_WALK_BYTES_PER_ENTRY * 65 ** 4 > MAX_DENSE_WALK_BYTES
+
+
+@pytest.mark.parametrize("dim", [65, 256])
+def test_dense_walk_budget_raises_before_allocating(dim):
+    chain = MarkovChain(np.full((dim, dim), 1 / dim))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="dense walk"):
+            szegedy_walk_operator(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the walk would need 32 N^4 bytes: 571 MB at N = 65
+
+
+def test_stationary_vector_is_solved_once_per_chain(monkeypatch):
+    # walk-gap calls spectral_gap and then discriminant_phase_gap; a chain
+    # given without a stationary vector has it solved by one eig, not two.
+    rng = np.random.default_rng(1315)
+    chain = MarkovChain(random_reversible_chain(rng, 6, "uniform").transition)
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))
+    spectral_gap(chain)
+    discriminant_phase_gap(chain)
+    assert calls == [(6, 6)]
