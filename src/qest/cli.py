@@ -48,6 +48,7 @@ from .sampler import (
     spectral_gap,
 )
 from .scenarios import (
+    KINDS,
     ORACLE_DIM_CAP,
     ScenarioSpec,
     circuit_config,
@@ -84,14 +85,22 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _load_config(path: str):
+def _load(path, what: str, fallback=None):
+    """The JSON document in a file, or fallback(text) for text that is not
+    JSON when a fallback is given. A file that cannot be read, is not UTF-8
+    or does not parse is a config error naming the file."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            if fallback is None:
+                raise
+            return fallback(text)
+    # ValueError covers undecodable bytes, bad JSON and what fallback
+    # rejects; RecursionError, JSON nested too deep.
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot load {what} {str(path)!r}: {exc}") from exc
 
 
 def _seed(value, name: str = "seed") -> int:
@@ -105,11 +114,14 @@ def _manifest(args, command: str, seed: int) -> RunManifest:
     return RunManifest(command, args.config, seed, args.out or "-", _now(), __version__)
 
 
-def _start(args, command: str):
-    """Config object, its directory, the run seed and the manifest."""
-    cfg = _load_config(args.config)
+def _start(args, command: str, n_sam=None):
+    """Config object with n_sam (the --n-sam flag) applied, its directory,
+    the run seed and the manifest."""
+    cfg = _load(args.config, "config")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
+    if n_sam is not None:
+        cfg["n_sam"] = n_sam
     seed = _seed(args.seed if args.seed is not None else cfg.get("seed", 0))
     return cfg, Path(args.config).parent, seed, _manifest(args, command, seed)
 
@@ -124,7 +136,10 @@ def _typed(value, kind, name: str):
     ):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ConfigError(f"{name} is out of range: {exc}") from exc
 
 
 def _number(cfg: dict, key: str, kind, default=None):
@@ -134,19 +149,29 @@ def _number(cfg: dict, key: str, kind, default=None):
     return _typed(cfg.get(key, default), kind, repr(key))
 
 
-def _auto_or_number(cfg: dict, key: str):
-    value = cfg.get(key, "auto")
-    return value if value == "auto" else _typed(value, float, repr(key))
+# The optional keys of scenario configs (diag reads n_probe, n_sam, dt and
+# gamma of them) and their JSON types. A key a config leaves out takes
+# ScenarioSpec's default. ChainConfig checks the proposal name.
+SETTINGS = {"n_sam": int, "n_probe": int, "dt": float, "gamma": float, "beta": float,
+            "proposal": None, "burn_in": int, "thinning": int}
+
+
+def _settings(cfg: dict, keys) -> dict:
+    """The typed values of those keys that cfg sets; dt and gamma may also
+    be "auto"."""
+    out = {}
+    for key in keys:
+        if key in cfg:
+            value, kind = cfg[key], SETTINGS[key]
+            auto = key in ("dt", "gamma") and value == "auto"
+            out[key] = value if kind is None or auto else _typed(value, kind, repr(key))
+    return out
 
 
 def _resolve_matrix(value, base: Path) -> np.ndarray:
     """Accept an inline matrix object or a path to a JSON file holding one."""
     if isinstance(value, str):
-        try:
-            with open(base / value) as fh:
-                value = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError covers bad JSON
-            raise ConfigError(f"cannot load matrix file {value}: {exc}") from exc
+        value = _load(base / value, "matrix file")
     if not isinstance(value, dict):
         raise ConfigError(f"expected a matrix object or path, got {type(value).__name__}")
     return matrix_from_json(value)
@@ -158,7 +183,7 @@ def _function_spec(value) -> FunctionSpec:
             return FunctionSpec.from_json(value)
         if isinstance(value, (list, str)):
             return FunctionSpec.weighted_exponential(value, 0.0)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot interpret function spec {value!r}: {exc}") from exc
     raise ConfigError(f"cannot interpret function spec {value!r}")
 
@@ -169,7 +194,7 @@ def _observable(value, base: Path):
         u = UnitaryOperator(_resolve_matrix(_require(value, "basis_changer"), base))
         try:
             vals = np.array(value["eigenvalues"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"observable eigenvalues are not numbers: {exc}") from exc
         if vals.shape != (u.dim,):
             raise ConfigError("observable eigenvalue count does not match basis")
@@ -183,36 +208,18 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _scenario_from_config(cfg: dict, base: Path, seed: int, n_sam) -> ScenarioSpec:
+def _scenario_from_config(cfg: dict, base: Path, seed: int) -> ScenarioSpec:
     kind = _require(cfg, "kind")
-    kwargs = {
-        "kind": kind,
-        "n_sam": n_sam if n_sam is not None else _number(cfg, "n_sam", int, 10000),
-        "seed": seed,
-        "n_probe": _number(cfg, "n_probe", int, 4),
-        "dt": _auto_or_number(cfg, "dt"),
-        "gamma": _auto_or_number(cfg, "gamma"),
-        "beta": _number(cfg, "beta", float, 0.0),
-        "proposal": cfg.get("proposal", "single-bit-flip"),
-        "burn_in": _number(cfg, "burn_in", int, 1000),
-        "thinning": _number(cfg, "thinning", int, 1),
-    }
+    kwargs = {"kind": kind, "seed": seed, **_settings(cfg, SETTINGS)}
+    if kind not in KINDS:
+        raise ConfigError(f"unknown scenario kind {kind!r}")
+    operator = "rho" if kind == "A" else "hamiltonian"
     try:
-        if kind == "A":
-            kwargs["rho"] = HermitianOperator(_resolve_matrix(_require(cfg, "rho"), base))
-            kwargs["observable"] = _observable(_require(cfg, "observable"), base)
-        elif kind == "B":
-            kwargs["hamiltonian"] = HermitianOperator(
-                _resolve_matrix(_require(cfg, "hamiltonian"), base)
-            )
-            kwargs["observable"] = _observable(_require(cfg, "observable"), base)
-        elif kind == "C":
-            kwargs["hamiltonian"] = HermitianOperator(
-                _resolve_matrix(_require(cfg, "hamiltonian"), base)
-            )
+        kwargs[operator] = HermitianOperator(_resolve_matrix(_require(cfg, operator), base))
+        if kind == "C":
             kwargs["g"] = _function_spec(_require(cfg, "g"))
         else:
-            raise ConfigError(f"unknown scenario kind {kind!r}")
+            kwargs["observable"] = _observable(_require(cfg, "observable"), base)
         return ScenarioSpec(**kwargs)
     except DomainError as exc:
         # Bad operator data inside a config file is a config problem.
@@ -235,27 +242,24 @@ def _scenario_mode(flag_mode: str) -> str:
 
 
 def cmd_diag(args) -> int:
-    cfg, base, seed, manifest = _start(args, "diag")
+    cfg, base, seed, manifest = _start(args, "diag", args.n_sam)
+    opts = _settings(cfg, ("n_probe", "n_sam", "dt", "gamma"))
+    n_probe = opts.pop("n_probe", ScenarioSpec.n_probe)
+    n_sam = opts.pop("n_sam", ScenarioSpec.n_sam)
     try:
         a = HermitianOperator(_resolve_matrix(_require(cfg, "a"), base))
-        if "v" in cfg:
-            v = UnitaryOperator(_resolve_matrix(cfg["v"], base))
-        else:
-            v = UnitaryOperator(np.eye(a.dim))
+        v = UnitaryOperator(_resolve_matrix(cfg["v"], base) if "v" in cfg else np.eye(a.dim))
         f = _function_spec(_require(cfg, "f"))
         x0 = _number(cfg, "x0", int)
-        n_probe = _number(cfg, "n_probe", int, 4)
         check_register_size(n_probe, a.dim)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    n_sam = args.n_sam if args.n_sam is not None else _number(cfg, "n_sam", int, 10000)
     if not 1 <= n_sam <= MAX_CHAIN_STEPS:
         raise ConfigError(
             f"n_sam must be in 1 .. {MAX_CHAIN_STEPS} (the shot cap), got {n_sam}"
         )
 
-    dt, gamma = _auto_or_number(cfg, "dt"), _auto_or_number(cfg, "gamma")
-    circuit = circuit_config(a, f, n_probe, dt, gamma)
+    circuit = circuit_config(a, f, n_probe, **opts)
     report = {
         "manifest": dataclasses.asdict(manifest),
         "x0": x0,
@@ -269,8 +273,8 @@ def cmd_diag(args) -> int:
 
 
 def cmd_mean(args) -> int:
-    cfg, base, seed, manifest = _start(args, "mean")
-    spec = _scenario_from_config(cfg, base, seed, args.n_sam)
+    cfg, base, seed, manifest = _start(args, "mean", args.n_sam)
+    spec = _scenario_from_config(cfg, base, seed)
     if spec.kind not in ("A", "B"):
         raise ConfigError("the mean command needs a kind A or B config")
     report = run_scenario_mean(spec, _scenario_mode(args.mode))
@@ -282,8 +286,8 @@ def cmd_mean(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    cfg, base, seed, manifest = _start(args, "partition")
-    spec = _scenario_from_config(cfg, base, seed, args.n_sam)
+    cfg, base, seed, manifest = _start(args, "partition", args.n_sam)
+    spec = _scenario_from_config(cfg, base, seed)
     if spec.kind != "C":
         raise ConfigError("the partition command needs a kind C config")
     zg, z1, ratio = estimate_partition(spec, _scenario_mode(args.mode))
@@ -306,16 +310,12 @@ def _chains_from_config(cfg: dict, base: Path, seed: int):
     chains = []
     for item in items:
         if isinstance(item, str):
-            try:
-                with open(base / item) as fh:
-                    item = json.load(fh)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot load chain file: {exc}") from exc
+            item = _load(base / item, "chain file")
         if not isinstance(item, dict) or "transition" not in item:
             raise ConfigError("chain entries need a 'transition' matrix")
         try:
             chains.append(MarkovChain.from_json(item))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad chain entry: {exc}") from exc
     rand = cfg.get("random")
     n_chains, dims = 0, []
@@ -371,17 +371,7 @@ def cmd_walk_gap(args) -> int:
 
 
 def _load_angles(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read angles file {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        try:
-            return [float(tok) for tok in text.split()]
-        except ValueError as exc:
-            raise ConfigError(f"angles file is neither JSON nor numbers: {exc}") from exc
+    obj = _load(path, "angles file", lambda text: [float(tok) for tok in text.split()])
     if isinstance(obj, dict):
         obj = obj.get("angles")
     if not isinstance(obj, list) or not obj:
@@ -393,7 +383,7 @@ def cmd_compile_mux(args) -> int:
     angles = _load_angles(args.config)
     if len(angles) & (len(angles) - 1):
         raise ConfigError(f"angle count must be a power of two, got {len(angles)}")
-    manifest = _manifest(args, "compile-mux", _seed(args.seed if args.seed is not None else 0))
+    manifest = _manifest(args, "compile-mux", 0)  # the compiler draws nothing
     seq = expand_multiplexor(angles)
     header = f"# manifest: {json.dumps(dataclasses.asdict(manifest), sort_keys=True)}\n"
     header += f"# qubits: {seq.n_qubits} gates: {len(seq)}\n"
@@ -415,19 +405,22 @@ def build_parser() -> argparse.ArgumentParser:
         "means, partition functions, and walk gap diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in [
-        ("diag", cmd_diag),
-        ("mean", cmd_mean),
-        ("partition", cmd_partition),
-        ("walk-gap", cmd_walk_gap),
-        ("compile-mux", cmd_compile_mux),
+    for name, func, flags in [
+        ("diag", cmd_diag, ("--seed", "--n-sam")),
+        ("mean", cmd_mean, ("--seed", "--mode", "--n-sam")),
+        ("partition", cmd_partition, ("--seed", "--mode", "--n-sam")),
+        ("walk-gap", cmd_walk_gap, ("--seed",)),
+        ("compile-mux", cmd_compile_mux, ()),
     ]:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config")
-        p.add_argument("--seed", type=int, default=None, help="64-bit seed (default 0)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--mode", choices=("exact", "shots"), default="exact")
-        p.add_argument("--n-sam", type=int, default=None, dest="n_sam")
+        p.add_argument("--out", help="output path (default stdout)")
+        if "--seed" in flags:
+            p.add_argument("--seed", type=int, help="64-bit seed (default 0)")
+        if "--mode" in flags:
+            p.add_argument("--mode", choices=("exact", "shots"), default="exact")
+        if "--n-sam" in flags:
+            p.add_argument("--n-sam", type=int, dest="n_sam")
         p.set_defaults(func=func)
     return parser
 

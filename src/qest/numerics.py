@@ -14,7 +14,6 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-10
 DENSITY_TOL = 1e-10
 
 # Eigenvalues this close to zero are treated as exactly zero when a function
@@ -92,15 +91,18 @@ class UnitaryOperator:
     def __post_init__(self):
         raw = np.asarray(self.entries)
         m = _as_complex_matrix(raw)
-        if raw.dtype.kind in "biuf":
-            # Real input: U^dag U is U^T U, so the check runs in real BLAS.
-            real = np.ascontiguousarray(raw, dtype=float)
-            gram = real.T @ real
-        else:
-            gram = m.conj().T @ m
-        gram[np.diag_indices_from(gram)] -= 1.0
-        dev = np.abs(gram).max()
-        if dev > UNITARITY_TOL:
+        # Finite entries near the float limit overflow the Gram product to
+        # inf or nan; the check below rejects both, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if raw.dtype.kind in "biuf":
+                # Real input: U^dag U is U^T U, so the check runs in real BLAS.
+                real = np.ascontiguousarray(raw, dtype=float)
+                gram = real.T @ real
+            else:
+                gram = m.conj().T @ m
+            gram[np.diag_indices_from(gram)] -= 1.0
+            dev = np.abs(gram).max()
+        if not dev <= UNITARITY_TOL:
             raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {dev:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -132,6 +134,8 @@ class SpectralDecomposition:
         vals = np.array(self.eigenvalues, dtype=float)
         if vals.ndim != 1 or vals.shape[0] != self.basis_changer.dim:
             raise DomainError("eigenvalue count does not match the basis dimension")
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("eigenvalues must be finite")
         if np.any(np.diff(vals) < -1e-12):
             raise DomainError("eigenvalues are not in ascending order")
         vals.flags.writeable = False
@@ -186,11 +190,15 @@ class FunctionSpec:
         object.__setattr__(self, "g_coeffs", tuple(float(c) for c in self.g_coeffs))
         if self.family == "weighted_exponential" and not self.g_coeffs:
             raise DomainError("weighted_exponential requires polynomial coefficients")
+        if not np.all(np.isfinite(self.g_coeffs)):
+            raise DomainError("polynomial coefficients must be finite")
         if self.family == "tabulated":
             grid = tuple(float(x) for x in self.grid)
             vals = tuple(float(v) for v in self.values)
             if len(grid) == 0 or len(grid) != len(vals):
                 raise DomainError("tabulated spec needs matching grid and values")
+            if not np.all(np.isfinite(grid)):
+                raise DomainError("tabulated grid points must be finite")
             if any(v < 0 or not np.isfinite(v) for v in vals):
                 raise DomainError("tabulated values must be finite and >= 0")
             object.__setattr__(self, "grid", grid)
@@ -294,7 +302,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         dim = int(obj["dim"])
         re = np.array(obj["re"], dtype=float)
         im = np.array(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: a dim of +-Infinity, or an integer entry beyond float.
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed matrix object: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DomainError(

@@ -59,17 +59,18 @@ MODES = ("exact-mu", "circuit-mu")
 ORACLE_DIM_CAP = 2 ** 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioSpec:
     """Declarative description of one estimation run.
 
     kind A needs observable + rho; kind B needs observable + hamiltonian +
     beta; kind C needs hamiltonian + beta + g (a polynomial-type weight).
     dt and gamma may be the string "auto" to defer to choose_dt/choose_gamma.
+    The field defaults are the defaults of the CLI's config keys.
     """
 
     kind: str
-    n_sam: int
+    n_sam: int = 10000
     seed: int
     n_probe: int = 4
     dt: object = "auto"
@@ -101,11 +102,8 @@ class ScenarioSpec:
         if self.kind in ("B", "C"):
             if not np.isfinite(self.beta) or self.beta < 0:
                 raise DomainError(f"beta must be finite and >= 0, got {self.beta}")
-        for name in ("dt", "gamma"):
-            val = getattr(self, name)
-            if val != "auto":
-                if not isinstance(val, (int, float)) or not np.isfinite(val) or val <= 0:
-                    raise DomainError(f"{name} must be 'auto' or a positive number")
+        _check_auto_or_positive("dt", self.dt)
+        _check_auto_or_positive("gamma", self.gamma)
         check_register_size(self.n_probe, self.dim)
         self.chain_config()  # rejects a bad proposal, burn_in or thinning now
 
@@ -115,10 +113,10 @@ class ScenarioSpec:
             return self.rho.dim
         return self.hamiltonian.dim
 
-    def chain_config(self, seed_offset: int = 0) -> ChainConfig:
+    def chain_config(self) -> ChainConfig:
         return ChainConfig(
             n_steps=self.n_sam,
-            seed=(self.seed + seed_offset) % 2 ** 64,
+            seed=self.seed,
             proposal=self.proposal,
             burn_in=self.burn_in,
             thinning=self.thinning,
@@ -134,10 +132,6 @@ class EstimateReport:
     n_sam: int
     mode: str
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        """Same as dataclasses.asdict(report)."""
-        return asdict(self)
 
 
 def choose_gamma(f: FunctionSpec, dt: float, n_probe: int) -> float:
@@ -220,9 +214,18 @@ def circuit_config(
 ) -> CircuitConfig:
     """Circuit parameters for A and f; "auto" dt puts the top of A's spectrum
     on the last probe slot and "auto" gamma scales f into [0, 1] on the grid."""
+    _check_auto_or_positive("dt", dt)
+    _check_auto_or_positive("gamma", gamma)
     dt = choose_dt(_spectral_max(a), n_probe) if dt == "auto" else float(dt)
     gamma = choose_gamma(f, dt, n_probe) if gamma == "auto" else float(gamma)
     return CircuitConfig(n_probe=n_probe, dt=dt, gamma=gamma, f=f)
+
+
+def _check_auto_or_positive(name: str, value) -> None:
+    if value != "auto" and (
+        not isinstance(value, (int, float)) or not np.isfinite(value) or value <= 0
+    ):
+        raise DomainError(f"{name} must be 'auto' or a positive number")
 
 
 def _spectral_max(a: HermitianOperator) -> float:

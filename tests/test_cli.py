@@ -1,6 +1,8 @@
 """Command-line behavior: configs in, reports out, honest exit codes."""
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +107,21 @@ def test_diag_missing_key(tmp_path, capsys):
     code, _, err = run_cli(["diag", "--config", path], capsys)
     assert code == 2
     assert "missing" in err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("dt", 0), ("dt", -1.0), ("dt", float("inf")), ("gamma", 0)]
+)
+def test_diag_bad_step_or_scale_is_one_line_domain_error(key, value, tmp_path, capsys):
+    # dt = 0 used to reach the probe grid: a divide-by-zero RuntimeWarning
+    # before the error line.
+    path = diag_config(tmp_path, **{key: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["diag", "--config", path], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"domain error: {key} must be 'auto' or a positive number\n"
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):
@@ -441,9 +458,9 @@ def test_scenario_api_reproduces_partition_report(tmp_path, capsys):
         g=FunctionSpec.weighted_exponential((1.0, -1.0), 0.0),
     )
     zg, z1, ratio = estimate_partition(spec)
-    assert zg.to_json() == report["z_g"]
-    assert z1.to_json() == report["z_1"]
-    assert ratio.to_json() == report["trace_ratio"]
+    assert dataclasses.asdict(zg) == report["z_g"]
+    assert dataclasses.asdict(z1) == report["z_1"]
+    assert dataclasses.asdict(ratio) == report["trace_ratio"]
     assert exact_oracle(spec) == report["oracle"]
 
 
@@ -493,4 +510,152 @@ def test_walk_gap_non_finite_chain_is_config_error(case, tmp_path, capsys):
     assert out == ""
     assert err.startswith("config error:")
     assert "non-finite" in err
+    assert err.count("\n") == 1
+
+
+# ------------------------------------------------------- flags and files
+
+# Flags that a subcommand used to accept and ignore.
+REMOVED_FLAGS = {
+    "diag-mode": ("diag", ["--mode", "exact"]),
+    "walk-gap-mode": ("walk-gap", ["--mode", "shots"]),
+    "walk-gap-n-sam": ("walk-gap", ["--n-sam", "100"]),
+    "compile-mux-mode": ("compile-mux", ["--mode", "exact"]),
+    "compile-mux-n-sam": ("compile-mux", ["--n-sam", "100"]),
+    "compile-mux-seed": ("compile-mux", ["--seed", "3"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOVED_FLAGS))
+def test_flags_a_command_does_not_read_are_usage_errors(case, tmp_path, capsys):
+    command, flag = REMOVED_FLAGS[case]
+    path = {
+        "diag": lambda: diag_config(tmp_path),
+        "walk-gap": lambda: write_json(tmp_path / "walk.json", {"random": {"n_chains": 1}}),
+        "compile-mux": lambda: write_json(tmp_path / "angles.json", [0.1, 0.2]),
+    }[command]()
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", path, *flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_left_out_keys_take_the_scenario_spec_defaults(tmp_path, capsys):
+    path = write_json(
+        tmp_path / "diag.json",
+        {"a": matrix_to_json(np.diag([0.0, 1.0])), "f": {"family": "identity"}, "x0": 1},
+    )
+    code, out, _ = run_cli(["diag", "--config", path], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["n_probe"], report["shots"]["n_sam"]) == (4, 10000)
+    cfg = {"kind": "B", "hamiltonian": matrix_to_json(np.diag([0.0, 1.0]))}
+    cfg["observable"] = cfg["hamiltonian"]
+    code, out, _ = run_cli(["mean", "--config", write_json(tmp_path / "m.json", cfg)], capsys)
+    assert code == 0
+    assert json.loads(out)["report"]["n_sam"] == 10000
+
+
+# For each kind of file, a command line that loads tmp_path/bad.json as
+# that kind.
+LOADED_FILES = {
+    "config": lambda tmp: ["mean", "--config", str(tmp / "bad.json")],
+    "matrix": lambda tmp: ["mean", "--config", mean_config(tmp, hamiltonian="bad.json")],
+    "chain": lambda tmp: [
+        "walk-gap", "--config", write_json(tmp / "walk.json", {"chains": ["bad.json"]})
+    ],
+    "angles": lambda tmp: ["compile-mux", "--config", str(tmp / "bad.json")],
+}
+FILE_FAULTS = {
+    "missing": None,
+    "not-utf8": b"\xff\xfe{}",
+    "not-json": b"{not json",
+    "nested-too-deep": b"[" * 100000,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FILE_FAULTS))
+@pytest.mark.parametrize("kind", sorted(LOADED_FILES))
+def test_unloadable_files_are_one_line_config_errors(kind, fault, tmp_path, capsys):
+    # A config or angles file that was not UTF-8 used to end in a
+    # UnicodeDecodeError traceback, and JSON nested too deep in a
+    # RecursionError one.
+    if FILE_FAULTS[fault] is not None:
+        (tmp_path / "bad.json").write_bytes(FILE_FAULTS[fault])
+    code, out, err = run_cli(LOADED_FILES[kind](tmp_path), capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: cannot load {kind}")
+    assert "bad.json" in err
+    assert err.count("\n") == 1
+
+
+# Unitaries whose Gram product overflows: to nan, which used to pass the
+# check, and to inf, which numpy used to warn about first.
+OVERFLOWING_V = {
+    "complex": {"dim": 2, "re": [[1e300, 0.0], [0.0, 1.0]], "im": [[1e300, 0.0], [0.0, 0.0]]},
+    "real": {"dim": 2, "re": [[1e300, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_V))
+def test_diag_overflowing_unitary_is_config_error(case, tmp_path, capsys):
+    path = diag_config(tmp_path, v=OVERFLOWING_V[case], x0=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["diag", "--config", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: matrix is not unitary")
+    assert err.count("\n") == 1
+
+
+# Every operator key with a matrix "dim" of +-Infinity, which used to
+# escape from matrix_from_json as an OverflowError.
+OPERATOR_KEYS = {
+    "diag-a": ("diag", diag_config, "a"),
+    "diag-v": ("diag", diag_config, "v"),
+    "mean-hamiltonian": ("mean", mean_config, "hamiltonian"),
+    "mean-observable": ("mean", mean_config, "observable"),
+    "partition-hamiltonian": ("partition", partition_config, "hamiltonian"),
+}
+
+
+@pytest.mark.parametrize("dim", [float("inf"), float("-inf")])
+@pytest.mark.parametrize("case", sorted(OPERATOR_KEYS))
+def test_infinite_matrix_dim_is_config_error(case, dim, tmp_path, capsys):
+    command, make, key = OPERATOR_KEYS[case]
+    matrix = dict(matrix_to_json(np.eye(2)), dim=dim)
+    code, _, err = run_cli([command, "--config", make(tmp_path, **{key: matrix})], capsys)
+    assert code == 2
+    assert err.startswith("config error: malformed matrix object")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "eigenvalue", [float("inf"), float("nan"), 10 ** 400], ids=["inf", "nan", "huge-int"]
+)
+def test_mean_unusable_observable_eigenvalue_is_config_error(eigenvalue, tmp_path, capsys):
+    # Infinity and NaN used to give an inf or nan mean (exit 0, with numpy
+    # warnings), and an integer beyond the float range an OverflowError.
+    observable = {"eigenvalues": [0.0, eigenvalue], "basis_changer": matrix_to_json(np.eye(2))}
+    path = mean_config(tmp_path, observable=observable, n_sam=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["mean", "--config", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
+
+
+def test_partition_infinite_weight_coefficient_is_config_error(tmp_path, capsys):
+    # Used to reach numpy: a RuntimeWarning, then exit 3.
+    path = partition_config(tmp_path, g=[1.0, float("inf")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(["partition", "--config", path], capsys)
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "finite" in err
     assert err.count("\n") == 1

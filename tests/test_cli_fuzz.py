@@ -1,22 +1,29 @@
-"""Exit-code contract under type mutations of the README config fixtures.
+"""Exit-code contract under mutations of the README config fixtures.
 
-Each example drops one key, replaces one value (at any depth) with a value
-of another JSON type, or replaces the whole config. Sizes are never mutated,
-so every run stays as small as its fixture. Whatever the input, the CLI
-must answer with 0, 2, 3 or 4 and, on failure, one line of stderr.
+A type mutation drops one key, replaces one value (at any depth) with a
+value of another JSON type, or replaces the whole config. A value mutation
+replaces one value, at any depth, with a boundary value. No size is ever
+set to a large valid value: a size goes one over its cap at most, which is
+rejected before anything of that size exists, so every run stays about as
+small as its fixture. Whatever the input, the CLI must answer with 0, 2, 3
+or 4 and, on failure, one line of stderr and no warning.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
+import warnings
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from qest.cli import main  # noqa: E402
+from qest.circuit import MAX_STATE_DIM  # noqa: E402
+from qest.cli import MAX_WALK_CHAINS, main  # noqa: E402
+from qest.sampler import MAX_CHAIN_STEPS, MAX_WALK_DIM  # noqa: E402
 
 DIAG_01 = {"dim": 2, "re": [[0.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 H = 0.7071067811865476
@@ -59,6 +66,26 @@ OTHER_TYPE = st.one_of(
 
 ERROR_PREFIXES = ("config error:", "domain error:", "sampler error:")
 
+# Zero, negative, non-finite, huge and empty values, an integer beyond the
+# float range, and one over each size cap.
+BOUNDARY_VALUES = [
+    0,
+    -1,
+    math.inf,
+    -math.inf,
+    math.nan,
+    1e300,
+    [],
+    10 ** 400,
+    MAX_CHAIN_STEPS + 1,  # chain steps and diag shots
+    MAX_WALK_CHAINS + 1,  # random walk-gap chains
+    math.isqrt(MAX_WALK_DIM) + 1,  # walk-gap chain states
+    2 ** 64,  # seeds
+    # n_probe at the fixtures' N_S = 2, where the main qubit and the
+    # ancilla take two of the register's qubits.
+    MAX_STATE_DIM.bit_length() - 2,
+]
+
 
 def _paths(value, prefix=()):
     """Key paths to every value nested in a JSON object, and whether each
@@ -97,19 +124,45 @@ def mutations(draw, fixture):
     return _mutated(fixture, path, action == "drop", replacement)
 
 
+def _violation(command, cfg, directory):
+    """How a run on cfg breaks the exit-code contract, or None. A numpy
+    warning would print lines of its own on stderr."""
+    path = directory / "config.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main([command, "--config", str(path), "--out", str(directory / "out")])
+        except Exception as exc:  # the console script would exit 1 with a traceback
+            return f"raised {exc!r}"
+    message = err.getvalue()
+    if code not in (0, 2, 3, 4):
+        return f"exit {code}: {message!r}"
+    if code != 0 and (
+        not message.startswith(ERROR_PREFIXES) or message.count("\n") != 1 or caught
+    ):
+        return f"exit {code}: {message!r}, warnings {[str(w.message) for w in caught]}"
+    return None
+
+
 @pytest.mark.parametrize("command", sorted(FIXTURES))
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_exit_code_contract_under_type_mutations(command, data, tmp_path_factory):
     cfg = data.draw(mutations(FIXTURES[command]))
-    directory = tmp_path_factory.mktemp("fuzz")
-    path = directory / "config.json"
-    path.write_text(json.dumps(cfg))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main([command, "--config", str(path), "--out", str(directory / "out")])
-    assert code in (0, 2, 3, 4)
-    if code != 0:
-        message = err.getvalue()
-        assert message.startswith(ERROR_PREFIXES), message
-        assert message.count("\n") == 1, message
+    assert _violation(command, cfg, tmp_path_factory.mktemp("fuzz")) is None
+
+
+@pytest.mark.parametrize("command", sorted(FIXTURES))
+def test_exit_code_contract_under_value_mutations(command, tmp_path):
+    # Every boundary value at every path: up to about 500 small runs per
+    # command, a few seconds in all.
+    fixture = FIXTURES[command]
+    violations = []
+    for path, _ in _paths(fixture):
+        for value in BOUNDARY_VALUES:
+            found = _violation(command, _mutated(fixture, path, False, value), tmp_path)
+            if found:
+                violations.append(f"{path} = {value!r:.20}: {found}")
+    assert not violations, "\n".join(violations)

@@ -5,6 +5,8 @@ Taylor series, np.linalg directly) so it shares no code path with the
 implementation it checks.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -415,3 +417,48 @@ def test_operators_reject_non_finite_entries(operator, case):
     # unitarity test.
     with pytest.raises(DomainError, match="non-finite"):
         operator(NON_FINITE[case])
+
+
+def test_unitary_check_rejects_an_overflowing_gram_product():
+    # |1e300 (1 + i)|^2 overflows: the Gram product holds inf and nan, and a
+    # nan deviation compares False against the tolerance.
+    with pytest.raises(DomainError, match="not unitary"):
+        UnitaryOperator(np.array([[1e300 + 1e300j, 0.0], [0.0, 1.0]]))
+    # A real entry of 1e300 overflows to inf; numpy must not warn about it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entries in (np.diag([1e300, 1.0]), np.diag([1e300 + 0j, 1.0])):
+            with pytest.raises(DomainError, match="not unitary"):
+                UnitaryOperator(entries)
+
+
+# Each builds a FunctionSpec with one non-finite number; they used to be
+# accepted and end in a RuntimeWarning or a nan when evaluated.
+NON_FINITE_SPECS = {
+    "coeff-inf": lambda: FunctionSpec.weighted_exponential((1.0, np.inf), 0.0),
+    "coeff-neg-inf": lambda: FunctionSpec.weighted_exponential((-np.inf,), 0.0),
+    "coeff-nan": lambda: FunctionSpec("weighted_exponential", g_coeffs=(np.nan,)),
+    "grid-inf": lambda: FunctionSpec.tabulated((0.0, np.inf), (1.0, 1.0)),
+    "grid-nan": lambda: FunctionSpec.tabulated((np.nan,), (1.0,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_SPECS))
+def test_function_spec_rejects_non_finite_numbers(case):
+    with pytest.raises(DomainError, match="finite"):
+        NON_FINITE_SPECS[case]()
+
+
+# A dim of +-Infinity (JSON reads it) and an integer entry beyond the float
+# range used to escape as an OverflowError.
+UNCONVERTIBLE_MATRICES = {
+    "dim-inf": {"dim": np.inf, "re": [[1.0]], "im": [[0.0]]},
+    "dim-neg-inf": {"dim": -np.inf, "re": [[1.0]], "im": [[0.0]]},
+    "huge-int-entry": {"dim": 1, "re": [[10 ** 400]], "im": [[0.0]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCONVERTIBLE_MATRICES))
+def test_matrix_from_json_rejects_unconvertible_numbers(case):
+    with pytest.raises(DomainError, match="malformed"):
+        matrix_from_json(UNCONVERTIBLE_MATRICES[case])

@@ -149,6 +149,13 @@ def test_scenario_spec_field_requirements():
         ScenarioSpec(kind="D", n_sam=10, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_scenario_spec_rejects_seed_outside_64_bits(seed):
+    # Used to run seed mod 2^64: 2^64 - 1 for -1 and 0 for 2^64.
+    with pytest.raises(DomainError, match="64 bits"):
+        spec_b_fixture(seed=seed)
+
+
 def test_scenario_rejects_non_density_rho():
     spec = ScenarioSpec(
         kind="A",
