@@ -41,6 +41,17 @@ ANGLE_EMIT_TOL = 1e-12
 COMPOSE_BLOCK_BYTES = 2 ** 19
 
 
+def probe_grid(n_probe: int, dt: float) -> np.ndarray:
+    """Probe grid points 2*pi*j / (dt * 2^n_probe) for j = 0 .. 2^n_probe - 1;
+    a dt so small (subnormal) that the top point overflows is rejected."""
+    n = 2 ** n_probe
+    with np.errstate(over="ignore"):
+        grid = 2 * np.pi * np.arange(n) / (dt * n)
+    if not np.isfinite(grid[-1]):
+        raise DomainError(f"dt={dt!r} is too small: the probe grid overflows")
+    return grid
+
+
 def check_register_size(n_probe: int, main_dim: int = 2) -> None:
     """Reject a probe count, or a register of 2^n_probe * main_dim * 2
     amplitudes above MAX_STATE_DIM, before anything of that size exists."""
@@ -87,9 +98,7 @@ class CircuitConfig:
         return 2 ** self.n_probe
 
     def grid(self) -> np.ndarray:
-        """Probe grid points 2*pi*j / (dt * N_j) for j = 0 .. N_j - 1."""
-        n = self.n_slots
-        return 2 * np.pi * np.arange(n) / (self.dt * n)
+        return probe_grid(self.n_probe, self.dt)
 
     def rotation_cosines(self) -> np.ndarray:
         """c_j = sqrt(gamma * f(grid_j)), clipped into [0, 1]."""
@@ -258,21 +267,21 @@ def _probe_phases(eigenvalues: np.ndarray, config: CircuitConfig) -> np.ndarray:
     return np.exp(1j * eigenvalues.reshape(1, -1) * config.dt * j)
 
 
-def eigencomponent_zero_probability(
-    eigenvalues: np.ndarray, config: CircuitConfig
-) -> np.ndarray:
-    """Ancilla-zero probability the circuit gives each eigencomponent of A.
-
-    The eigencomponents of A stay orthogonal on the main register through
-    every stage, so the circuit's ancilla-zero probability for V|x0> is
-    sum_k |<A_k|V|x0>|^2 times entry k of this array, which is
-    sum_j |L(lambda_k dt, j)|^2 c_j^2. L comes from the same phases and FFT
-    as apply_controlled_evolution and apply_inverse_dft, so a probe bin the
-    statevector leaves exactly empty is exactly empty here too.
-    """
+def probe_mass(eigenvalues: np.ndarray, config: CircuitConfig) -> np.ndarray:
+    """|L(lambda_k dt, j)|^2 over probe bins j (rows) and eigenvalues k: the
+    same phases and FFT as apply_controlled_evolution and apply_inverse_dft,
+    so a bin the statevector leaves exactly empty is exactly empty here."""
     n = config.n_slots
     probe = np.fft.fft(_probe_phases(eigenvalues, config) / np.sqrt(n), axis=0) / np.sqrt(n)
-    return config.rotation_cosines() ** 2 @ np.abs(probe) ** 2
+    return np.abs(probe) ** 2
+
+
+def eigencomponent_zero_probability(mass: np.ndarray, config: CircuitConfig) -> np.ndarray:
+    """sum_j |L(lambda_k dt, j)|^2 c_j^2 from the probe_mass table of A: the
+    ancilla-zero probability of eigencomponent k. The eigencomponents stay
+    orthogonal through every stage, so the circuit's ancilla-zero probability
+    for V|x0> is sum_k |<A_k|V|x0>|^2 times entry k."""
+    return config.rotation_cosines() ** 2 @ mass
 
 
 def apply_inverse_dft(state: StateVector) -> StateVector:

@@ -37,13 +37,6 @@ class EmpiricalDistribution:
             raise DomainError("empty distribution has no frequencies")
         return self.counts.get(tuple(outcome), 0) / self.total
 
-    def to_json(self) -> dict:
-        return {
-            "registers": list(self.registers),
-            "total": self.total,
-            "counts": {",".join(map(str, k)): v for k, v in sorted(self.counts.items())},
-        }
-
 
 def ancilla_zero_probability(state: StateVector) -> float:
     """Probability of measuring the ancilla in |0>."""
@@ -79,16 +72,6 @@ def sample_measurements(state: StateVector, n_sam: int, seed: int) -> list:
     x = ((indices >> 1) % state.n_main_states).tolist()
     b = (indices & 1).tolist()
     return list(map(SampleRecord, j, x, b))
-
-
-def ancilla_zero_frequency(state: StateVector, n_sam: int, seed: int) -> float:
-    """Fraction of n_sam seeded measurements that find the ancilla in |0>.
-
-    The same draws as sample_measurements(state, n_sam, seed), counted
-    without building the records.
-    """
-    indices = _draw_indices(state, n_sam, seed)
-    return int(np.count_nonzero((indices & 1) == 0)) / n_sam
 
 
 def empirical_distribution(samples, registers=REGISTERS) -> EmpiricalDistribution:

@@ -111,13 +111,6 @@ class UnitaryOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def to_json(self) -> dict:
-        return matrix_to_json(self.entries)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "UnitaryOperator":
-        return cls(matrix_from_json(obj))
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:

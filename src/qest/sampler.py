@@ -108,12 +108,6 @@ class MarkovChain:
         pi.flags.writeable = False
         return pi
 
-    def to_json(self) -> dict:
-        obj = {"dim": self.dim, "transition": self.transition.tolist()}
-        if self.stationary is not None:
-            obj["stationary"] = self.stationary.tolist()
-        return obj
-
     @classmethod
     def from_json(cls, obj: dict) -> "MarkovChain":
         stat = obj.get("stationary")
@@ -356,7 +350,8 @@ def build_metropolis_matrix(mu, proposal: str = "single-bit-flip") -> MarkovChai
     else:
         raise DomainError(f"proposal must be one of {PROPOSALS}")
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A weight over a subnormal one overflows to inf: accept with min(1, inf) = 1.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         accept = np.minimum(1.0, mu[None, :] / mu[:, None])
     accept[np.isnan(accept)] = 1.0  # 0/0 pairs carry no stationary weight
     p = q * accept

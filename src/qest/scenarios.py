@@ -15,6 +15,7 @@ identical either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -23,21 +24,16 @@ from .circuit import (
     CircuitConfig,
     check_register_size,
     eigencomponent_zero_probability,
-    leakage_amplitude,
-    run_tomography_circuit,
+    probe_grid,
+    probe_mass,
 )
-from .estimation import (
-    ancilla_zero_frequency,
-    ancilla_zero_probability,
-    estimate_diag_element,
-)
+from .estimation import estimate_diag_element
 from .numerics import (
     DomainError,
     FunctionSpec,
     HermitianOperator,
     SpectralDecomposition,
     UnitaryOperator,
-    exact_diag_element,
     exact_mean,
     exact_partition,
     function_of_hermitian,
@@ -105,6 +101,8 @@ class ScenarioSpec:
         _check_auto_or_positive("dt", self.dt)
         _check_auto_or_positive("gamma", self.gamma)
         check_register_size(self.n_probe, self.dim)
+        if self.dt != "auto":
+            probe_grid(self.n_probe, self.dt)  # rejects a dt whose grid overflows
         self.chain_config()  # rejects a bad proposal, burn_in or thinning now
 
     @property
@@ -136,8 +134,7 @@ class EstimateReport:
 
 def choose_gamma(f: FunctionSpec, dt: float, n_probe: int) -> float:
     """Largest scale factor keeping gamma * f inside [0, 1] on the grid."""
-    cfg_grid = 2 * np.pi * np.arange(2 ** n_probe) / (dt * 2 ** n_probe)
-    fmax = float(np.max(f.evaluate(cfg_grid)))
+    fmax = float(np.max(f.evaluate(probe_grid(n_probe, dt))))
     if fmax <= 0:
         raise DomainError("f vanishes on the whole probe grid; gamma undefined")
     return 1.0 / fmax
@@ -254,18 +251,24 @@ def mu_table(spec: ScenarioSpec, mode: str = "exact-mu") -> np.ndarray:
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
     target = resolve_target(spec)
-    if target.a.dim != target.v.dim:
-        raise DomainError(
-            f"operator dim {target.a.dim} does not match unitary dim {target.v.dim}"
-        )
-    dec = target.a.spectrum
+    overlaps = _overlaps(target.a, target.v)
     if mode == "exact-mu":
         r = spectral_values(target.a, target.f)
     else:
-        r = eigencomponent_zero_probability(dec.eigenvalues, target.circuit)
-        r = r / target.circuit.gamma
-    overlaps = np.abs(dec.basis_changer.entries.conj().T @ target.v.entries) ** 2
+        mass = probe_mass(target.a.spectrum.eigenvalues, target.circuit)
+        r = eigencomponent_zero_probability(mass, target.circuit) / target.circuit.gamma
     return overlaps.T @ r
+
+
+def _overlaps(a: HermitianOperator, v: UnitaryOperator, x0: int | None = None):
+    """|<A_k|V|x>|^2 over the eigenbasis of A (rows) and the basis states x
+    (columns), or over the eigenbasis alone for x = x0."""
+    if a.dim != v.dim:
+        raise DomainError(f"operator dim {a.dim} does not match unitary dim {v.dim}")
+    if x0 is not None and not 0 <= x0 < a.dim:
+        raise DomainError(f"x0={x0} out of range for dimension {a.dim}")
+    columns = v.entries if x0 is None else v.entries[:, x0]
+    return np.abs(a.spectrum.basis_changer.entries.conj().T @ columns) ** 2
 
 
 def _chain_diagnostics(mu: np.ndarray, run, spec: ScenarioSpec) -> dict:
@@ -294,9 +297,7 @@ def run_scenario_mean(spec: ScenarioSpec, mode: str = "exact-mu") -> EstimateRep
     mu = mu_table(spec, mode)
     run = run_chain(ratio_from_weights(mu), spec.dim, spec.chain_config())
     omega_vals = np.asarray(spec.observable.eigenvalues)
-    values = omega_vals[np.asarray(run.samples)]
-    point = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+    point, se = _mean_and_error(omega_vals[np.asarray(run.samples)])
     return EstimateReport(point, se, spec.n_sam, mode, _chain_diagnostics(mu, run, spec))
 
 
@@ -319,10 +320,19 @@ def run_scenario_partition(spec: ScenarioSpec, mode: str = "exact-mu") -> Estima
     n = len(samples)
     counts = np.bincount(samples, minlength=spec.dim)
     freqs = counts / n
-    terms = mu[samples] / freqs[samples]
-    point = float(terms.mean())
-    se = float(terms.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    point, se = _mean_and_error(mu[samples] / freqs[samples])
     return EstimateReport(point, se, spec.n_sam, mode, _chain_diagnostics(mu, run, spec))
+
+
+def _mean_and_error(values: np.ndarray):
+    """Sample mean and naive standard error std(ddof=1) / sqrt(n), taken on
+    the values scaled by a power of two into (-1, 1), where their squares
+    cannot overflow. The scaling is exact: where the plain formula neither
+    overflows nor underflows, the results are the same bits."""
+    _, exponent = math.frexp(float(np.max(np.abs(values))))
+    scaled = np.ldexp(values, -exponent)
+    se = scaled.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
+    return float(np.ldexp(scaled.mean(), exponent)), float(np.ldexp(se, exponent))
 
 
 def trace_ratio(zg: EstimateReport, z1: EstimateReport) -> EstimateReport:
@@ -443,31 +453,37 @@ def estimate_diagonal(
 ) -> dict:
     """<x0| V^dag f(A) V |x0> three ways, as a report block.
 
-    exact_mu is the spectral-sum oracle, circuit_mu the exact ancilla-zero
-    probability of the circuit over gamma, and shots the same estimate from
-    n_sam seeded measurements. leakage gives, per eigenvalue of A, its probe
-    grid position and the probability mass that misses its nearest slot.
+    exact_mu and circuit_mu are mu_table's closed form at x0. The shots
+    block draws the ancilla-zero count of n_sam measurements from its exact
+    law, binomial at p0 = gamma * circuit_mu. leakage gives, per eigenvalue,
+    its probe grid position and the probe_mass off its nearest slot.
     """
-    exact_mu = exact_diag_element(a, v, circuit.f, x0)
-    state = run_tomography_circuit(a, v, x0, circuit)
-    n_slots = circuit.n_slots
-    leakage = []
-    for lam in a.spectrum.eigenvalues:
-        k = lam * circuit.dt
-        nearest = int(np.round(k * n_slots / (2 * np.pi))) % n_slots
-        on_slot = abs(leakage_amplitude(k, nearest, n_slots)) ** 2
-        leakage.append(
-            {
-                "eigenvalue": float(lam),
-                "grid_position": float(k * n_slots / (2 * np.pi)),
-                "nearest_slot": nearest,
-                "off_slot_mass": float(1 - on_slot),
-            }
-        )
-    freq = ancilla_zero_frequency(state, n_sam, seed)
+    if n_sam < 1:
+        raise DomainError(f"n_sam must be >= 1, got {n_sam}")
+    if not 0 <= seed < 2 ** 64:
+        raise DomainError("seed must fit in 64 bits")
+    overlaps = _overlaps(a, v, x0)
+    exact_mu = float(np.sum(spectral_values(a, circuit.f) * overlaps))
+    eigenvalues = a.spectrum.eigenvalues
+    mass = probe_mass(eigenvalues, circuit)
+    r = eigencomponent_zero_probability(mass, circuit) / circuit.gamma
+    circuit_mu = float(np.sum(r * overlaps))
+    p0 = min(max(circuit.gamma * circuit_mu, 0.0), 1.0)
+    freq = int(np.random.default_rng(seed).binomial(n_sam, p0)) / n_sam
+    positions = eigenvalues * circuit.dt * circuit.n_slots / (2 * np.pi)
+    nearest = [int(np.round(p)) % circuit.n_slots for p in positions]
+    leakage = [
+        {
+            "eigenvalue": float(lam),
+            "grid_position": float(p),
+            "nearest_slot": j,
+            "off_slot_mass": float(1 - mass[j, k]),
+        }
+        for k, (lam, p, j) in enumerate(zip(eigenvalues, positions, nearest))
+    ]
     return {
         "exact_mu": exact_mu,
-        "circuit_mu": estimate_diag_element(ancilla_zero_probability(state), circuit.gamma),
+        "circuit_mu": circuit_mu,
         "shots": {
             "n_sam": n_sam,
             "ancilla_zero_frequency": freq,

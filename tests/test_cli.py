@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qest import cli, sampler
+from qest import circuit, cli, estimation, sampler
 from qest.circuit import MAX_STATE_DIM, GateSequence, compose_gate_unitary, multiplexor_block
 from qest.cli import MAX_WALK_CHAINS, main
 from qest.numerics import FunctionSpec, HermitianOperator, matrix_to_json
@@ -124,6 +124,45 @@ def test_diag_bad_step_or_scale_is_one_line_domain_error(key, value, tmp_path, c
     assert err == f"domain error: {key} must be 'auto' or a positive number\n"
 
 
+def test_diag_simulates_no_circuit(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("diag simulated the circuit")
+
+    monkeypatch.setattr(circuit, "run_tomography_circuit", refuse)
+    monkeypatch.setattr(circuit, "prepare_initial_state", refuse)
+    monkeypatch.setattr(estimation, "sample_measurements", refuse)
+    code, out, err = run_cli(["diag", "--config", diag_config(tmp_path)], capsys)
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["shots"]["n_sam"] == 4000
+
+
+@pytest.mark.parametrize(
+    "command, mode, overrides, code",
+    [
+        ("diag", None, {}, 3),
+        ("diag", None, {"gamma": 0.5}, 3),
+        ("mean", "exact", {}, 2),
+        ("mean", "shots", {}, 2),
+    ],
+)
+def test_subnormal_dt_is_rejected_like_zero(command, mode, overrides, code, tmp_path, capsys):
+    # 2 pi j / (dt 2^n_probe) overflows at a subnormal dt, so such a dt
+    # must fail as cleanly as dt = 0, before anything reads the grid.
+    make = diag_config if command == "diag" else mean_config
+    argv = [command, "--config", make(tmp_path, dt=1e-320, **overrides)]
+    if mode:
+        argv += ["--mode", mode]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(argv, capsys)
+        zero = run_cli(argv[:2] + [make(tmp_path, dt=0)] + argv[3:], capsys)[0]
+    assert got == zero == code
+    assert out == ""
+    assert "probe grid overflows" in err
+    assert err.count("\n") == 1
+
+
 def test_seed_flag_overrides_config(tmp_path, capsys):
     path = diag_config(tmp_path, seed=5)
     code, out, _ = run_cli(["diag", "--config", path, "--seed", "9"], capsys)
@@ -141,6 +180,40 @@ def test_mean_fixture_with_oracle(tmp_path, capsys):
     est = report["report"]["point_estimate"]
     se = report["report"]["standard_error"]
     assert abs(est - 1 / 3) <= 3 * se
+
+
+def test_mean_subnormal_weight_needs_no_warning(tmp_path, capsys):
+    # mu = (1, 2^-1025) at beta = ln 2: mu_0 / mu_1 overflows in the
+    # Metropolis matrix behind the delta diagnostic, where min(1, inf) = 1
+    # is the right acceptance.
+    h = matrix_to_json(np.diag([0.0, 1025.0]))
+    path = mean_config(tmp_path, hamiltonian=h, n_sam=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["mean", "--config", path], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["report"]["diagnostics"]["delta"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("mean", {"observable": matrix_to_json(np.diag([0.0, 1e300]))}),
+        ("partition", {"g": [1e300, -1.0]}),
+    ],
+    ids=["mean-observable", "partition-weight"],
+)
+def test_standard_error_of_huge_values_is_finite(command, overrides, tmp_path, capsys):
+    # Squaring these values inside std overflows unless they are scaled.
+    make = mean_config if command == "mean" else partition_config
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([command, "--config", make(tmp_path, **overrides)], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    blocks = [report["report"]] if command == "mean" else [report["z_g"], report["trace_ratio"]]
+    for block in blocks:
+        assert np.isfinite(block["standard_error"]) and block["standard_error"] > 1e290
 
 
 def test_mean_rejects_kind_c_config(tmp_path, capsys):

@@ -7,7 +7,6 @@ from qest.circuit import CircuitConfig, StateVector, run_tomography_circuit
 from qest.estimation import (
     SampleRecord,
     _draw_indices,
-    ancilla_zero_frequency,
     ancilla_zero_probability,
     empirical_distribution,
     estimate_diag_element,
@@ -171,20 +170,6 @@ def test_csv_round_trip():
     assert samples_from_csv(text) == samples
 
 
-def test_ancilla_zero_frequency_counts_the_sampled_records():
-    states = [fixture_state(seed=s, n_probe=p)[3] for s, p in ((0, 2), (3, 3), (5, 4))]
-    rng = np.random.default_rng(241)
-    a = np.diag(np.arange(4.0))
-    cfg = CircuitConfig(3, 0.9, 1.0, FunctionSpec.exponential(0.3))
-    states.append(run_tomography_circuit(HermitianOperator(a), random_unitary(rng, 4), 2, cfg))
-    for state in states:
-        for n_sam in (1, 7, 1000, 20000):
-            for seed in (0, 17, 2 ** 64 - 1):
-                records = sample_measurements(state, n_sam, seed)
-                want = empirical_distribution(records, ("ancilla",)).frequency((0,))
-                assert ancilla_zero_frequency(state, n_sam, seed) == want
-
-
 def reference_sample_measurements(state, n_sam, seed):
     """The per-index decode that sample_measurements replaced, kept as its oracle."""
     records = []
@@ -212,11 +197,3 @@ def test_sample_records_equal_the_per_index_decode():
                     for rec in records
                     for v in (rec.probe_outcome, rec.main_outcome, rec.ancilla_outcome)
                 )
-
-
-def test_ancilla_zero_frequency_validates_arguments():
-    state = fixture_state()[3]
-    with pytest.raises(DomainError):
-        ancilla_zero_frequency(state, 0, 1)
-    with pytest.raises(DomainError):
-        ancilla_zero_frequency(state, 10, -1)

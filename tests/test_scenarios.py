@@ -1,12 +1,13 @@
 """End-to-end scenario runners against closed-form and oracle targets."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qest import circuit, numerics, scenarios
-from qest.circuit import MAX_STATE_DIM, run_tomography_circuit
+from qest.circuit import MAX_STATE_DIM, leakage_amplitude, run_tomography_circuit
 from qest.estimation import ancilla_zero_probability
 from qest.numerics import (
     DomainError,
@@ -26,6 +27,8 @@ from qest.scenarios import (
     ScenarioSpec,
     choose_dt,
     choose_gamma,
+    circuit_config,
+    estimate_diagonal,
     estimate_partition,
     exact_oracle,
     mu_of_x,
@@ -38,7 +41,7 @@ from qest.scenarios import (
     split_signed_coeffs,
     trace_ratio,
 )
-from qest.synth import random_density, random_hermitian
+from qest.synth import random_density, random_hermitian, random_unitary
 
 LN2 = float(np.log(2.0))
 
@@ -528,7 +531,6 @@ def decomposition_count(monkeypatch):
         raise AssertionError("run_tomography_circuit was called")
 
     monkeypatch.setattr(numerics, "eigendecompose", counting)
-    monkeypatch.setattr(scenarios, "run_tomography_circuit", no_circuit)
     monkeypatch.setattr(circuit, "run_tomography_circuit", no_circuit)
     return calls
 
@@ -547,3 +549,83 @@ def test_one_decomposition_per_input_operator(kind, decomposition_count):
             exact_oracle(spec, report)
     operator = spec.rho if kind == "A" else spec.hamiltonian
     assert decomposition_count == [operator]
+
+
+# ------------------------------------------------------------- diagonal
+
+def _diag_case(dim, n_probe, f, seed):
+    """A >= 0 with a random eigenbasis and off-grid spectrum, a random V,
+    and a dt that puts no eigenvalue but zero on a probe slot."""
+    rng = np.random.default_rng(seed)
+    a, _ = shift_nonnegative(random_hermitian(rng, dim))
+    dt = choose_dt(float(a.spectrum.eigenvalues[-1]), n_probe) * rng.uniform(0.5, 0.99)
+    return a, random_unitary(rng, dim), circuit_config(a, f, n_probe, dt=dt)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
+def test_estimate_diagonal_matches_statevector(dim):
+    # A constant f puts gamma * f = 1 on every slot, so the ancilla-zero
+    # probability is the probe mass, which can round above 1.
+    clipped = 0
+    for n_probe in range(1, 9):
+        for f in (FunctionSpec.exponential(0.7), FunctionSpec.constant(0.6)):
+            a, v, cfg = _diag_case(dim, n_probe, f, seed=100 * dim + n_probe)
+            for x0 in sorted({0, dim // 3, dim - 1}):
+                report = estimate_diagonal(a, v, x0, cfg, 100, seed=x0)
+                state = run_tomography_circuit(a, v, x0, cfg)
+                want = ancilla_zero_probability(state) / cfg.gamma
+                assert abs(report["circuit_mu"] - want) <= 1e-12 * want
+                assert report["exact_mu"] == exact_diag_element(a, v, f, x0)
+                clipped += cfg.gamma * report["circuit_mu"] > 1
+                for row in report["leakage"]:
+                    k = row["eigenvalue"] * cfg.dt
+                    amp = leakage_amplitude(k, row["nearest_slot"], cfg.n_slots)
+                    assert abs(row["off_slot_mass"] - (1 - abs(amp) ** 2)) <= 1e-12
+                    assert row["grid_position"] == k * cfg.n_slots / (2 * np.pi)
+    assert clipped > 0
+
+
+def test_diag_shot_counts_are_binomial_at_p0():
+    a, v, cfg = _diag_case(8, 4, FunctionSpec.exponential(0.7), seed=77)
+    n_sam = 400
+    z = []
+    for seed in range(200):
+        report = estimate_diagonal(a, v, 3, cfg, n_sam, seed)
+        p0 = cfg.gamma * report["circuit_mu"]
+        freq = report["shots"]["ancilla_zero_frequency"]
+        assert report["shots"]["mu_hat"] == freq / cfg.gamma
+        z.append((freq - p0) / np.sqrt(p0 * (1 - p0) / n_sam))
+    assert 0.1 < p0 < 0.9
+    assert abs(np.mean(z)) <= 0.5
+    assert 0.8 <= np.std(z, ddof=1) <= 1.25
+
+
+def test_estimate_diagonal_validates_shot_arguments():
+    a, v, cfg = _diag_case(2, 2, FunctionSpec.exponential(0.7), seed=1)
+    with pytest.raises(DomainError):
+        estimate_diagonal(a, v, 0, cfg, 0, 1)
+    with pytest.raises(DomainError):
+        estimate_diagonal(a, v, 0, cfg, 10, -1)
+
+
+# ------------------------------------------------------- standard error
+
+def test_mean_and_error_scaling_keeps_the_plain_bits():
+    rng = np.random.default_rng(59)
+    for _ in range(2000):
+        n = int(rng.integers(1, 40))
+        levels = rng.normal(size=4) * 10.0 ** rng.uniform(-100, 100)
+        values = rng.choice(levels, size=n)
+        se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        assert scenarios._mean_and_error(values) == (float(values.mean()), se)
+
+
+def test_mean_and_error_neither_overflows_nor_underflows():
+    # Plain std squares the first array's values to infinity and the
+    # second's to zero.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point, se = scenarios._mean_and_error(np.array([1e300, -1e300, 1e300, 1.0]))
+        assert np.isfinite(point) and np.isfinite(se) and se > 1e299
+        point, se = scenarios._mean_and_error(np.array([1e-200, 3e-200]))
+        assert point == pytest.approx(2e-200) and se == pytest.approx(1e-200)
