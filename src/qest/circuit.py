@@ -257,11 +257,18 @@ def apply_controlled_evolution(
 
 def _probe_phases(eigenvalues: np.ndarray, config: CircuitConfig) -> np.ndarray:
     """exp(i lambda_k dt j) over probe values j (rows) and eigenvalues k;
-    eigenvalues below -EIGENVALUE_CLIP are rejected."""
+    eigenvalues below -EIGENVALUE_CLIP, and phases that overflow, are
+    rejected."""
     if eigenvalues.min() < -EIGENVALUE_CLIP:
         raise DomainError(
             f"eigenvalue {eigenvalues.min():.6e} is negative; shift the "
             "operator before running the circuit"
+        )
+    top = float(np.abs(eigenvalues).max())
+    if not np.isfinite(top * float(config.dt) * (config.n_slots - 1)):
+        raise DomainError(
+            f"eigenvalue {top:.6e} times dt={config.dt!r} over "
+            f"{config.n_slots} probe slots overflows the phases"
         )
     j = np.arange(config.n_slots).reshape(-1, 1)
     return np.exp(1j * eigenvalues.reshape(1, -1) * config.dt * j)
@@ -355,8 +362,11 @@ def multiplexor_block(angles) -> np.ndarray:
     out = np.zeros((2 * n, 2 * n))
     c = np.cos(angles / 2)
     s = np.sin(angles / 2)
-    for j in range(n):
-        out[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[c[j], -s[j]], [s[j], c[j]]]
+    even = np.arange(0, 2 * n, 2)
+    out[even, even] = c
+    out[even, even + 1] = -s
+    out[even + 1, even] = s
+    out[even + 1, even + 1] = c
     return out
 
 
@@ -420,10 +430,19 @@ def _qubit_views(block: np.ndarray, axes, bits):
 def compose_gate_unitary(seq: GateSequence) -> np.ndarray:
     """Multiply a gate sequence into a dense unitary (qubit 0 most significant).
 
+    A qubit that no gate targets is at most a CNOT control, so it keeps its
+    value and the unitary is block diagonal over those qubits. One column is
+    evolved per assignment a of the targeted qubits, starting as the sum of
+    |v, a> over every assignment v of the untargeted ones: its rows with
+    untargeted bits v are column (v, a) of the unitary, and every other
+    entry is 0. Each row meets the same float operations as it would in its
+    own column, so the bits are those of a column-by-column product and the
+    work per gate is O(dim * 2^targeted), not O(dim * dim).
+
     Every gate is real, so the product is built in float64 and cast to
-    complex once. Columns evolve independently: each block of identity
-    columns (COMPOSE_BLOCK_BYTES of float64) runs through the whole sequence
-    while it stays in cache, and each gate updates the block in place in
+    complex once. Columns evolve independently: each block of columns
+    (COMPOSE_BLOCK_BYTES of float64) runs through the whole sequence while
+    it stays in cache, and each gate updates the block in place in
     O(dim * block) work. An RY computes c*m0 - s*m1 and s*m0 + c*m1, as a
     complex product would, so the result does not depend on the blocking.
     Inside a block the row axes are ordered by how many RY gates target each
@@ -431,32 +450,44 @@ def compose_gate_unitary(seq: GateSequence) -> np.ndarray:
     """
     n = seq.n_qubits
     dim = 2 ** n
-    width = min(dim, max(1, COMPOSE_BLOCK_BYTES // (8 * dim)))
-    targets = [g.target for g in seq.gates if g.name == "RY"]
-    order = sorted(range(n), key=lambda q: -targets.count(q))
+    targeted = {g.target for g in seq.gates}
+    n_columns = 2 ** len(targeted)
+    width = min(n_columns, max(1, COMPOSE_BLOCK_BYTES // (8 * dim)))
+    ry_targets = [g.target for g in seq.gates if g.name == "RY"]
+    order = sorted(range(n), key=lambda q: -ry_targets.count(q))
     axis = {q: i for i, q in enumerate(order)}
     block = np.empty((dim, width))
     scratch = np.empty(dim * width // 2), np.empty(dim * width // 2)
+    # The in-place views of a gate depend only on its qubits, so each is
+    # built once and shared by every gate on the same qubits.
+    views = {}
     steps = []
     for g in seq.gates:
-        if g.name == "RY":
-            m0, m1 = (_qubit_views(block, (axis[g.target],), (b,)) for b in (0, 1))
-            a, b = (buf[:m0.size].reshape(m0.shape) for buf in scratch)
-            steps.append((m0, m1, a, b, np.cos(g.angle / 2), np.sin(g.angle / 2)))
-        else:
-            qubits = (axis[g.control], axis[g.target])
-            m0, m1 = (_qubit_views(block, qubits, (1, b)) for b in (0, 1))
-            steps.append((m0, m1, scratch[0][:m0.size].reshape(m0.shape), None, None, None))
+        key = (g.control, g.target)
+        if key not in views:
+            qubits, fixed = ((g.target,), ()) if g.name == "RY" else (key, (1,))
+            m0, m1 = (
+                _qubit_views(block, [axis[q] for q in qubits], fixed + (b,)) for b in (0, 1)
+            )
+            views[key] = (m0, m1) + tuple(buf[:m0.size].reshape(m0.shape) for buf in scratch)
+        rotation = (np.cos(g.angle / 2), np.sin(g.angle / 2)) if g.name == "RY" else (None, None)
+        steps.append(views[key] + rotation)
+    # Each standard index split into the bits of the untargeted qubits
+    # (home) and the rest; evolved column i starts on targeted_bits[i].
+    rows = np.arange(dim)
+    home = rows & sum(2 ** (n - 1 - q) for q in range(n) if q not in targeted)
+    idle_bits = rows[home == rows]
+    targeted_bits = rows[home == 0]
     # Block row of each standard basis index, and the block seen with its
     # row axes in the standard qubit order.
     inverse = list(np.argsort(order))
-    row_of = np.arange(dim).reshape((2,) * n).transpose(inverse).ravel()
+    row_of = rows.reshape((2,) * n).transpose(inverse).ravel()
     standard = block.reshape((2,) * n + (width,)).transpose(inverse + [n])
-    columns = np.arange(width)
-    out = np.empty((dim, dim), dtype=complex)
-    for start in range(0, dim, width):
+    out = np.zeros((dim, dim), dtype=complex)
+    for start in range(0, n_columns, width):
+        bits = targeted_bits[start:start + width]
         block.fill(0.0)
-        block[row_of[start:start + width], columns] = 1.0
+        block[row_of[idle_bits[:, None] | bits], np.arange(width)] = 1.0
         for m0, m1, a, b, c, s in steps:
             if c is None:  # CNOT: swap the target halves where the control is 1
                 np.copyto(a, m0)
@@ -469,5 +500,5 @@ def compose_gate_unitary(seq: GateSequence) -> np.ndarray:
             m0 *= s
             m1 += m0
             np.subtract(a, b, out=m0)
-        out[:, start:start + width] = standard.reshape(dim, width)
+        out[rows[:, None], home[:, None] | bits] = standard.reshape(dim, width)
     return out

@@ -597,3 +597,113 @@ def test_gray_code_signs_match_the_popcount_loop():
         signs = _gray_code_signs(n)
         assert signs.dtype == loop.dtype and signs.flags.c_contiguous
         assert np.array_equal(signs, loop)
+
+
+def _sequence_targeting(rng, n_qubits: int, targeted, n_gates: int, ry_share=0.5) -> GateSequence:
+    """Random RY/CNOT gates whose targets all lie in `targeted`; every other
+    qubit is at most a CNOT control."""
+    targeted = sorted(targeted)
+    gates = []
+    for _ in range(n_gates):
+        target = int(rng.choice(targeted))
+        if n_qubits == 1 or rng.random() < ry_share:
+            gates.append(Gate("RY", target, angle=float(rng.uniform(-7, 7))))
+        else:
+            control = int(rng.choice([q for q in range(n_qubits) if q != target]))
+            gates.append(Gate("CNOT", target, control=control))
+    return GateSequence(n_qubits, tuple(gates))
+
+
+def _assert_composes_like_reference(seq: GateSequence) -> None:
+    got = compose_gate_unitary(seq)
+    assert got.dtype == complex and got.shape == (2 ** seq.n_qubits,) * 2
+    assert np.array_equal(got, reference_compose_gate_unitary(seq))
+
+
+def test_compose_bitwise_with_control_only_qubits():
+    rng = np.random.default_rng(239)
+    for n_qubits in range(1, 10):
+        _assert_composes_like_reference(GateSequence(n_qubits, ()))
+        for _ in range(3):
+            m = int(rng.integers(1, n_qubits + 1))
+            targeted = rng.choice(n_qubits, m, replace=False)
+            _assert_composes_like_reference(_sequence_targeting(rng, n_qubits, targeted, 24))
+
+
+def test_compose_bitwise_on_cnots_only():
+    rng = np.random.default_rng(241)
+    for n_qubits in range(2, 10):
+        m = int(rng.integers(1, n_qubits + 1))
+        targeted = rng.choice(n_qubits, m, replace=False)
+        seq = _sequence_targeting(rng, n_qubits, targeted, 16, ry_share=0.0)
+        assert all(g.name == "CNOT" for g in seq.gates)
+        _assert_composes_like_reference(seq)
+
+
+def test_compose_bitwise_with_one_targeted_qubit():
+    rng = np.random.default_rng(251)
+    for n_qubits in range(1, 10):
+        for target in {0, n_qubits // 2, n_qubits - 1}:
+            seq = _sequence_targeting(rng, n_qubits, [target], 20)
+            _assert_composes_like_reference(seq)
+
+
+def test_compose_bitwise_with_every_qubit_targeted():
+    rng = np.random.default_rng(257)
+    for n_qubits in range(1, 10):
+        # Each qubit is targeted at least once, then random gates follow.
+        head = tuple(Gate("RY", q, angle=float(rng.uniform(-7, 7))) for q in range(n_qubits))
+        tail = _sequence_targeting(rng, n_qubits, range(n_qubits), 20).gates
+        _assert_composes_like_reference(GateSequence(n_qubits, head + tail))
+
+
+def test_compose_bitwise_when_targeted_columns_span_several_blocks():
+    # 8 targeted qubits out of 9 give 2^8 evolved columns, more than one
+    # block of 2^9-row columns holds.
+    n_qubits = 9
+    assert COMPOSE_BLOCK_BYTES // (8 * 2 ** n_qubits) < 2 ** 8
+    rng = np.random.default_rng(263)
+    for idle in (0, 4, 8):
+        targeted = [q for q in range(n_qubits) if q != idle]
+        head = tuple(Gate("RY", q, angle=float(rng.uniform(-7, 7))) for q in targeted)
+        tail = _sequence_targeting(rng, n_qubits, targeted, 30).gates
+        _assert_composes_like_reference(GateSequence(n_qubits, head + tail))
+
+
+def test_compose_bitwise_on_a_nine_control_multiplexor():
+    # k = 0 .. 8 controls are covered by
+    # test_compose_bitwise_equals_reference_on_multiplexors.
+    angles = np.random.default_rng(269).uniform(-np.pi, np.pi, 2 ** 9)
+    _assert_composes_like_reference(expand_multiplexor(angles))
+
+
+def _multiplexor_block_loop(angles) -> np.ndarray:
+    angles = np.asarray(angles, dtype=float)
+    n = angles.shape[0]
+    out = np.zeros((2 * n, 2 * n))
+    c = np.cos(angles / 2)
+    s = np.sin(angles / 2)
+    for j in range(n):
+        out[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[c[j], -s[j]], [s[j], c[j]]]
+    return out
+
+
+def test_multiplexor_block_equals_the_loop():
+    rng = np.random.default_rng(271)
+    for n in (1, 2, 8, 1024):
+        angles = rng.uniform(-7, 7, n)
+        got = multiplexor_block(angles)
+        assert got.dtype == np.float64 and got.shape == (2 * n, 2 * n)
+        assert np.array_equal(got, _multiplexor_block_loop(angles))
+
+
+def test_probe_phases_that_overflow_are_rejected():
+    a = HermitianOperator(np.diag([0.0, 1e300]).astype(complex))
+    config = plain_config(n_probe=2, dt=1e10)
+    with pytest.raises(DomainError, match="overflows the phases"):
+        run_tomography_circuit(a, UnitaryOperator(np.eye(2)), 0, config)
+    # The largest phase lambda dt (2^n_probe - 1) is what must stay finite.
+    a = HermitianOperator(np.diag([0.0, 1e307]).astype(complex))
+    with pytest.raises(DomainError, match="overflows the phases"):
+        run_tomography_circuit(a, UnitaryOperator(np.eye(2)), 0, plain_config(n_probe=6, dt=10.0))
+    run_tomography_circuit(a, UnitaryOperator(np.eye(2)), 0, plain_config(n_probe=1, dt=10.0))

@@ -163,6 +163,26 @@ def test_subnormal_dt_is_rejected_like_zero(command, mode, overrides, code, tmp_
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["diag", "mean"])
+def test_overflowing_phase_is_one_line_domain_error(command, tmp_path, capsys):
+    # An eigenvalue of 1e300 at dt = 1e10 puts lambda dt j beyond float
+    # range; the probe phases used to become NaN (diag crashed in the shot
+    # draw, mean printed an invalid-value warning before its error line).
+    huge = matrix_to_json(np.diag([0.0, 1e300]).astype(complex))
+    if command == "diag":
+        argv = ["diag", "--config", diag_config(tmp_path, a=huge, dt=1e10)]
+    else:
+        config = mean_config(tmp_path, hamiltonian=huge, dt=1e10)
+        argv = ["mean", "--config", config, "--mode", "shots"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error:") and "overflows the phases" in err
+    assert err.count("\n") == 1
+
+
 def test_seed_flag_overrides_config(tmp_path, capsys):
     path = diag_config(tmp_path, seed=5)
     code, out, _ = run_cli(["diag", "--config", path, "--seed", "9"], capsys)
@@ -402,6 +422,18 @@ def test_compile_mux_round_trip(tmp_path, capsys):
     seq = GateSequence.from_text(text)
     dev = np.abs(compose_gate_unitary(seq) - multiplexor_block(angles)).max()
     assert dev <= 1e-10
+
+
+def test_compile_mux_verifies_at_the_angle_cap(tmp_path, capsys):
+    angles = np.random.default_rng(233).uniform(-np.pi, np.pi, cli.VERIFY_ANGLE_CAP)
+    path = write_json(tmp_path / "angles.json", angles.tolist())
+    code, out, err = run_cli(["compile-mux", "--config", path], capsys)
+    assert code == 0
+    assert "skipped" not in err
+    prefix = "verification: max unitary deviation "
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert float(err[len(prefix):]) <= 1e-10
+    assert f"# qubits: {len(angles).bit_length()} " in out
 
 
 def test_compile_mux_plain_number_file(tmp_path, capsys):
