@@ -61,6 +61,10 @@ from .synth import random_reversible_chain
 
 VERIFY_ANGLE_CAP = 2 ** 10
 
+# Most angles one compile-mux run may compile: building the n x n Gray-code
+# sign matrix peaks at about 24 * n^2 bytes (384 MB here), verified or not.
+MAX_MUX_ANGLES = 2 ** 12
+
 # Most random chains one walk-gap config may ask for.
 MAX_WALK_CHAINS = 2 ** 10
 
@@ -383,6 +387,8 @@ def cmd_compile_mux(args) -> int:
     angles = _load_angles(args.config)
     if len(angles) & (len(angles) - 1):
         raise ConfigError(f"angle count must be a power of two, got {len(angles)}")
+    if len(angles) > MAX_MUX_ANGLES:
+        raise ConfigError(f"{len(angles)} angles exceed the cap {MAX_MUX_ANGLES}")
     manifest = _manifest(args, "compile-mux", 0)  # the compiler draws nothing
     seq = expand_multiplexor(angles)
     header = f"# manifest: {json.dumps(dataclasses.asdict(manifest), sort_keys=True)}\n"

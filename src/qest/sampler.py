@@ -254,53 +254,178 @@ def run_chain(ratio, dim: int, config: ChainConfig) -> ChainRun:
     count for single-bit-flip) and then rng.random() for the acceptance test,
     rng = default_rng(config.seed), whether or not the move is taken; the
     draws are decoded a block at a time (see _DrawStream).
+
+    An oracle from ratio_from_weights is not called: the walk reads its
+    weights directly (_WeightWalk), with the same trajectory, counters and
+    errors as calling it, and its weight count must equal dim.
     """
     if not 1 <= dim <= 2 ** 32:  # the decoder follows numpy's 32-bit draw path
         raise DomainError(f"dimension must be in 1 .. 2**32, got {dim}")
     flip = config.proposal == "single-bit-flip"
     n = _bit_count(dim) if flip else dim
+    nan_budget = 100 + 10 * dim
+    if isinstance(ratio, _WeightRatio):
+        if len(ratio.weights) != dim:
+            raise DomainError(
+                f"{len(ratio.weights)} weights for a chain over {dim} states"
+            )
+        walk = _WeightWalk(ratio.weights, flip, nan_budget)
+    else:
+        walk = _OracleWalk(ratio, flip, nan_budget)
     draws = _DrawStream(np.random.default_rng(config.seed), n)
 
-    x = 0
     samples = []
-    n_accepted = 0
-    ever_accepted = False
-    nan_streak = 0
-    nan_budget = 100 + 10 * dim
     total = config.burn_in + config.n_steps * config.thinning
     record = config.burn_in + config.thinning - 1  # next step whose state is kept
     for start in range(0, total, BLOCK_STEPS):
-        stop = min(start + BLOCK_STEPS, total)
-        props, uniform = draws.take(stop - start)
+        states = walk.advance(*draws.take(min(BLOCK_STEPS, total - start)))
+        kept = states[record - start::config.thinning]
+        samples += kept
+        record += len(kept) * config.thinning
+    if not walk.n_accepted and walk.nan_streak == total:
+        # Short runs can end before the streak budget trips.
+        raise _zero_target_error()
+    return ChainRun(samples, total, walk.n_accepted)
+
+
+def _zero_target_error(nan_streak: int | None = None) -> SamplerError:
+    """The error of a chain that only saw undefined ratios: mid-run once the
+    streak passes its budget, or at the end of a run shorter than that."""
+    if nan_streak is None:
+        return SamplerError(
+            "target measure looks identically zero: every ratio was undefined"
+        )
+    return SamplerError(
+        "target measure looks identically zero: no move "
+        f"accepted after {nan_streak} undefined ratios"
+    )
+
+
+class _OracleWalk:
+    """Metropolis steps that call the ratio oracle, one call per step.
+
+    nan_streak counts the nan ratios seen before the first acceptance; past
+    nan_budget the target counts as identically zero.
+    """
+
+    __slots__ = ("ratio", "flip", "nan_budget", "x", "n_accepted", "nan_streak")
+
+    def __init__(self, ratio, flip: bool, nan_budget: int):
+        self.ratio, self.flip, self.nan_budget = ratio, flip, nan_budget
+        self.x = self.n_accepted = self.nan_streak = 0
+
+    def advance(self, props: np.ndarray, uniform: np.ndarray) -> list:
+        """Take one step per draw; the state after each step, in order."""
+        ratio, flip, x = self.ratio, self.flip, self.x
+        n_accepted, nan_streak = self.n_accepted, self.nan_streak
         if flip:
             props = np.uint64(1) << props
-        for step, y, u in zip(range(start, stop), props.tolist(), uniform.tolist()):
+        states = []
+        for y, u in zip(props.tolist(), uniform.tolist()):
             if flip:
                 y ^= x
             r = float(ratio(x, y))
             if r != r:  # nan: the move is refused, its uniform still drawn
-                if not ever_accepted:
+                if not n_accepted:
                     nan_streak += 1
-                    if nan_streak > nan_budget:
-                        raise SamplerError(
-                            "target measure looks identically zero: no move "
-                            f"accepted after {nan_streak} undefined ratios"
-                        )
+                    if nan_streak > self.nan_budget:
+                        raise _zero_target_error(nan_streak)
             elif r < 0:
                 raise DomainError(f"ratio oracle returned negative value {r}")
             elif u < r:  # u < min(1, r), as u < 1
                 x = y
                 n_accepted += 1
-                ever_accepted = True
-            if step == record:
-                samples.append(x)
-                record += config.thinning
-    if not ever_accepted and nan_streak == total:
-        # Short runs can end before the streak budget trips.
-        raise SamplerError(
-            "target measure looks identically zero: every ratio was undefined"
-        )
-    return ChainRun(samples, total, n_accepted)
+            states.append(x)
+        self.x, self.n_accepted, self.nan_streak = x, n_accepted, nan_streak
+        return states
+
+
+class _WeightWalk:
+    """_OracleWalk over a _WeightRatio, with the ratio read inline.
+
+    The same floats reach the same comparisons: w[y] / w[x] is the oracle's
+    division, and u < r is its acceptance test. Weights are finite and
+    nonnegative, so no ratio is negative, and a ratio out of a positive
+    weight is never nan. A move into a zero weight is then refused (u < 0
+    fails), so a zero-weight state is occupied only at the start, before the
+    first acceptance: only there can nan ratios occur, and from there every
+    move into a positive weight has ratio inf and is taken.
+
+    For single-bit-flip, state x's ratios w[x ^ 2^b] / w[x] over the n_bits
+    bits b are computed once, when x is first occupied.
+    """
+
+    __slots__ = ("w", "n_bits", "rows", "nan_budget", "x", "n_accepted", "nan_streak")
+
+    def __init__(self, weights: list, flip: bool, nan_budget: int):
+        self.w, self.nan_budget = weights, nan_budget
+        self.n_bits = _bit_count(len(weights)) if flip else 0  # 0: uniform
+        self.rows = [None] * len(weights) if flip else None
+        self.x = self.n_accepted = self.nan_streak = 0
+
+    def advance(self, props: np.ndarray, uniform: np.ndarray) -> list:
+        """Take one step per draw; the state after each step, in order."""
+        props, uniform = props.tolist(), uniform.tolist()
+        states = []
+        if not self.w[self.x]:
+            taken = self._leave_zero_start(props, states)
+            if taken == len(props):  # still at the start, or left on the last draw
+                return states
+            props, uniform = props[taken:], uniform[taken:]
+        if self.n_bits:
+            self._flip_steps(props, uniform, states)
+        else:
+            self._uniform_steps(props, uniform, states)
+        return states
+
+    def _leave_zero_start(self, props: list, states: list) -> int:
+        """Steps from the zero-weight start state 0 up to and including its
+        first move; returns how many draws they took."""
+        w, n_bits = self.w, self.n_bits
+        for i, y in enumerate(props):
+            if n_bits:
+                y = 1 << y  # 0 ^ 2^b
+            if w[y]:  # ratio inf: taken whatever the uniform
+                states += [0] * i
+                states.append(y)
+                self.x = y
+                self.n_accepted = 1
+                return i + 1
+            self.nan_streak += 1
+            if self.nan_streak > self.nan_budget:
+                raise _zero_target_error(self.nan_streak)
+        states += [0] * len(props)
+        return len(props)
+
+    def _uniform_steps(self, props: list, uniform: list, states: list) -> None:
+        w, x, n_accepted = self.w, self.x, self.n_accepted
+        wx = w[x]
+        append = states.append
+        for y, u in zip(props, uniform):
+            if u < w[y] / wx:  # y == x counts as accepted, as in the oracle walk
+                x = y
+                wx = w[y]
+                n_accepted += 1
+            append(x)
+        self.x, self.n_accepted = x, n_accepted
+
+    def _flip_steps(self, bits: list, uniform: list, states: list) -> None:
+        rows, x, n_accepted = self.rows, self.x, self.n_accepted
+        row = rows[x] or self._row(x)
+        append = states.append
+        for b, u in zip(bits, uniform):
+            if u < row[b]:
+                x ^= 1 << b
+                row = rows[x] or self._row(x)
+                n_accepted += 1
+            append(x)
+        self.x, self.n_accepted = x, n_accepted
+
+    def _row(self, x: int) -> list:
+        w = self.w
+        wx = w[x]
+        row = self.rows[x] = [w[x ^ (1 << b)] / wx for b in range(self.n_bits)]
+        return row
 
 
 def metropolis_sample(ratio, dim: int, config: ChainConfig) -> list:
@@ -308,19 +433,30 @@ def metropolis_sample(ratio, dim: int, config: ChainConfig) -> list:
     return run_chain(ratio, dim, config).samples
 
 
-def ratio_from_weights(mu):
-    """Ratio oracle for an explicit weight vector (y/0 is inf, 0/0 is nan)."""
-    mu = np.asarray(mu, dtype=float)
-    if not np.all(np.isfinite(mu)) or mu.min() < 0:
-        raise DomainError("weights must be finite and nonnegative")
-    w = mu.tolist()
+class _WeightRatio:
+    """mu(y)/mu(x) over a weight list (y/0 is inf, 0/0 is nan); run_chain
+    reads .weights directly instead of calling it."""
 
-    def ratio(x, y):
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: list):
+        self.weights = weights
+
+    def __call__(self, x, y):
+        w = self.weights
         if w[x]:
             return w[y] / w[x]
         return math.inf if w[y] else math.nan
 
-    return ratio
+
+def ratio_from_weights(mu):
+    """Ratio oracle for an explicit weight vector (y/0 is inf, 0/0 is nan)."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 1 or mu.size == 0:
+        raise DomainError(f"weights must be a nonempty vector, got shape {mu.shape}")
+    if not np.all(np.isfinite(mu)) or mu.min() < 0:
+        raise DomainError("weights must be finite and nonnegative")
+    return _WeightRatio(mu.tolist())
 
 
 def build_metropolis_matrix(mu, proposal: str = "single-bit-flip") -> MarkovChain:

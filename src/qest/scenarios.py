@@ -271,11 +271,16 @@ def _overlaps(a: HermitianOperator, v: UnitaryOperator, x0: int | None = None):
     return np.abs(a.spectrum.basis_changer.entries.conj().T @ columns) ** 2
 
 
-def _chain_diagnostics(mu: np.ndarray, run, spec: ScenarioSpec) -> dict:
-    visited = len(set(run.samples))
+def _trajectory(run) -> tuple[np.ndarray, np.ndarray]:
+    """A chain's samples as an index array, and the visit count per state."""
+    samples = np.fromiter(run.samples, np.intp, len(run.samples))
+    return samples, np.bincount(samples)
+
+
+def _chain_diagnostics(mu: np.ndarray, run, counts, spec: ScenarioSpec) -> dict:
     diag = {
         "acceptance_rate": run.acceptance_rate,
-        "visitation_coverage": visited / mu.shape[0],
+        "visitation_coverage": np.count_nonzero(counts) / mu.shape[0],
         "mu_zero_states": int(np.sum(mu == 0)),
     }
     try:
@@ -296,9 +301,11 @@ def run_scenario_mean(spec: ScenarioSpec, mode: str = "exact-mu") -> EstimateRep
         raise DomainError("run_scenario_mean handles kinds A and B only")
     mu = mu_table(spec, mode)
     run = run_chain(ratio_from_weights(mu), spec.dim, spec.chain_config())
+    samples, counts = _trajectory(run)
     omega_vals = np.asarray(spec.observable.eigenvalues)
-    point, se = _mean_and_error(omega_vals[np.asarray(run.samples)])
-    return EstimateReport(point, se, spec.n_sam, mode, _chain_diagnostics(mu, run, spec))
+    point, se = _mean_and_error(omega_vals[samples])
+    diag = _chain_diagnostics(mu, run, counts, spec)
+    return EstimateReport(point, se, spec.n_sam, mode, diag)
 
 
 def run_scenario_partition(spec: ScenarioSpec, mode: str = "exact-mu") -> EstimateReport:
@@ -316,12 +323,11 @@ def run_scenario_partition(spec: ScenarioSpec, mode: str = "exact-mu") -> Estima
         raise DomainError("run_scenario_partition handles kind C only")
     mu = mu_table(spec, mode)
     run = run_chain(ratio_from_weights(mu), spec.dim, spec.chain_config())
-    samples = np.asarray(run.samples)
-    n = len(samples)
-    counts = np.bincount(samples, minlength=spec.dim)
-    freqs = counts / n
+    samples, counts = _trajectory(run)
+    freqs = counts / len(samples)
     point, se = _mean_and_error(mu[samples] / freqs[samples])
-    return EstimateReport(point, se, spec.n_sam, mode, _chain_diagnostics(mu, run, spec))
+    diag = _chain_diagnostics(mu, run, counts, spec)
+    return EstimateReport(point, se, spec.n_sam, mode, diag)
 
 
 def _mean_and_error(values: np.ndarray):

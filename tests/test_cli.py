@@ -452,6 +452,30 @@ def test_compile_mux_bad_length(tmp_path, capsys):
     assert "power of two" in err
 
 
+class Compiled(Exception):
+    """Raised by a stand-in compiler: the angle count got past the checks."""
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+def test_compile_mux_angle_count_cap(factor, tmp_path, capsys, monkeypatch):
+    # The compiler's sign matrix is O(n^2), so n over the cap is refused at
+    # load, before anything of that size is built; n at the cap is compiled.
+    def compiled(angles):
+        raise Compiled
+
+    monkeypatch.setattr(cli, "expand_multiplexor", compiled)
+    path = write_json(tmp_path / "angles.json", [0.1] * (factor * cli.MAX_MUX_ANGLES))
+    if factor == 1:
+        with pytest.raises(Compiled):
+            main(["compile-mux", "--config", path])
+        return
+    code, out, err = run_cli(["compile-mux", "--config", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
+
+
 # ------------------------------------------------------ config validation
 
 # Ill-typed or out-of-range config values: each is rejected at load with

@@ -5,8 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:  # only the weight-walk property test needs it
+    st = None
+
+from qest import sampler
 from qest.numerics import DomainError, HermitianOperator, exact_partition, FunctionSpec
 from qest.sampler import (
+    BLOCK_STEPS,
     DENSE_WALK_BYTES_PER_ENTRY,
     MAX_CHAIN_STEPS,
     MAX_DENSE_WALK_BYTES,
@@ -436,6 +443,72 @@ def test_blocked_kernel_raises_like_per_step(case):
     got = outcome(run_chain, ratio, dim, cfg)
     assert got == outcome(reference_run_chain, ratio, dim, cfg)
     assert got[0] in (SamplerError, DomainError)
+
+
+@pytest.mark.parametrize("proposal", ["uniform", "single-bit-flip"])
+@pytest.mark.parametrize("n_weights, dim", [(4, 8), (4, 2)])
+def test_weight_count_must_match_dim(proposal, n_weights, dim, monkeypatch):
+    # Too few weights used to end in an IndexError, too many in a chain over
+    # the first dim of them. Both are refused before anything is drawn.
+    def refuse(*args):
+        raise AssertionError("drew for a chain with the wrong weight count")
+
+    monkeypatch.setattr(sampler, "_DrawStream", refuse)
+    cfg = ChainConfig(100, seed=1, proposal=proposal)
+    with pytest.raises(DomainError, match=f"{n_weights} weights for a chain over {dim}"):
+        run_chain(ratio_from_weights(np.ones(n_weights)), dim, cfg)
+
+
+def test_ratio_from_weights_needs_a_nonempty_vector():
+    for bad in (np.ones((2, 2)), np.array([]), 1.0):
+        with pytest.raises(DomainError):
+            ratio_from_weights(bad)
+
+
+if st is not None:
+    # Exact-boundary floats: subnormals next to the largest finite ones make
+    # ratios overflow to inf and underflow to 0 (or to a subnormal).
+    EDGE_WEIGHTS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+                    0.5, 1.0, 3.0, 1e300, 1.7976931348623157e308]
+    WEIGHTS = st.sampled_from(EDGE_WEIGHTS) | st.floats(0.0, 1e308)
+
+    @st.composite
+    def weight_chains(draw):
+        """(weights, dim, config): zeros at the start state, all-zero targets,
+        burn-in off the block grid and thinning above a block."""
+        proposal = draw(st.sampled_from(["uniform", "single-bit-flip"]))
+        if proposal == "uniform":
+            dim = draw(st.integers(1, 40))
+        else:
+            dim = 2 ** draw(st.integers(1, 6))
+        shape = draw(st.sampled_from(["any", "zero-start", "all-zero"]))
+        weights = [0.0] * dim
+        if shape != "all-zero":
+            weights = draw(st.lists(WEIGHTS, min_size=dim, max_size=dim))
+        if shape == "zero-start":
+            weights[0] = 0.0
+        thinning = draw(st.sampled_from([1, 2, 3, BLOCK_STEPS + 1, BLOCK_STEPS + 13]))
+        n_steps = draw(st.integers(1, 1500 if thinning < BLOCK_STEPS else 2))
+        burn_in = draw(st.integers(0, 5000))
+        seed = draw(st.integers(0, 2 ** 64 - 1))
+        return weights, dim, ChainConfig(n_steps, seed, proposal, burn_in, thinning)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(weight_chains())
+    # all-zero targets: the nan budget (100 + 10 * dim) trips in the second
+    # block of a long run, and a short run ends on the end-of-run check
+    @example(([0.0] * 512, 512, ChainConfig(3000, 7, "uniform", 3000)))
+    @example(([0.0] * 64, 64, ChainConfig(200, 8, "single-bit-flip", 0)))
+    # zero start whose one positive weight is a neighbour: nan steps, one
+    # move, then ratios of 0 into the zero weights around it
+    @example(([0.0] * 16 + [1e-310] + [0.0] * 15, 32, ChainConfig(500, 9, "single-bit-flip", 4095, 2)))
+    @example(([1.7976931348623157e308, 5e-324, 0.0, 1.0], 4, ChainConfig(2, 3, "uniform", 4097, 4097)))
+    def test_weight_walk_matches_the_oracle_walk(case):
+        weights, dim, cfg = case
+        got = outcome(run_chain, ratio_from_weights(weights), dim, cfg)
+        with np.errstate(over="ignore", under="ignore"):
+            want = outcome(reference_run_chain, reference_ratio_from_weights(weights), dim, cfg)
+        assert got == want
 
 
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
