@@ -136,19 +136,6 @@ class StateVector:
         """View shaped (probe slots, main states, 2)."""
         return self.amplitudes.reshape(2 ** self.n_probe, self.n_main_states, 2)
 
-    def to_json(self) -> dict:
-        return {
-            "n_probe": self.n_probe,
-            "n_main": self.n_main,
-            "re": self.amplitudes.real.tolist(),
-            "im": self.amplitudes.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "StateVector":
-        amps = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-        return cls(int(obj["n_probe"]), int(obj["n_main"]), amps)
-
 
 @dataclass(frozen=True)
 class Gate:

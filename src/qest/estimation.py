@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
 from dataclasses import dataclass
 
@@ -98,21 +96,3 @@ def estimate_diag_element(ancilla_zero_freq: float, gamma: float) -> float:
     if not np.isfinite(gamma) or gamma <= 0:
         raise DomainError(f"gamma must be finite and > 0, got {gamma}")
     return ancilla_zero_freq / gamma
-
-
-def samples_to_csv(samples) -> str:
-    """Render samples as CSV with header s,probe,main,ancilla (s is 1-based)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["s", "probe", "main", "ancilla"])
-    for s, rec in enumerate(samples, start=1):
-        writer.writerow([s, rec.probe_outcome, rec.main_outcome, rec.ancilla_outcome])
-    return buf.getvalue()
-
-
-def samples_from_csv(text: str) -> list:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["s", "probe", "main", "ancilla"]:
-        raise DomainError(f"unexpected CSV header: {header}")
-    return [SampleRecord(int(p), int(m), int(a)) for _, p, m, a in reader]

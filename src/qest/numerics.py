@@ -74,13 +74,6 @@ class HermitianOperator:
         op.__dict__["spectrum"] = dec  # the cached_property's slot
         return op
 
-    def to_json(self) -> dict:
-        return matrix_to_json(self.entries)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HermitianOperator":
-        return cls(matrix_from_json(obj))
-
 
 @dataclass(frozen=True)
 class UnitaryOperator:
@@ -266,13 +259,6 @@ class FunctionSpec:
                 raise DomainError(f"query {q} is not on the tabulated grid")
             out[i] = self.values[j]
         return out.reshape(x.shape)
-
-    def to_json(self) -> dict:
-        obj = {"family": self.family, "beta": self.beta, "g_coeffs": list(self.g_coeffs)}
-        if self.family == "tabulated":
-            obj["grid"] = list(self.grid)
-            obj["values"] = list(self.values)
-        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "FunctionSpec":

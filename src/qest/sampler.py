@@ -81,9 +81,7 @@ class MarkovChain:
                 raise DomainError("stationary vector is not a distribution")
             if np.abs(pi @ p - pi).max() > BALANCE_TOL:
                 raise DomainError("claimed stationary vector is not stationary")
-            detailed = pi[:, None] * p - (pi[:, None] * p).T
-            if np.abs(detailed).max() > BALANCE_TOL:
-                raise DomainError("chain violates detailed balance")
+            _check_reversible(p, pi)
             pi.flags.writeable = False
             object.__setattr__(self, "stationary", pi)
 
@@ -93,8 +91,8 @@ class MarkovChain:
 
     @cached_property
     def _solved_stationary(self) -> np.ndarray:
-        # Solved once per chain: spectral_gap and discriminant_phase_gap
-        # both need it for a chain given without a stationary vector.
+        # Solved and checked for detailed balance once per chain given
+        # without a stationary vector; a declared one was checked above.
         vals, vecs = np.linalg.eig(self.transition.T)
         idx = int(np.argmin(np.abs(vals - 1)))
         if abs(vals[idx] - 1) > 1e-8:
@@ -105,8 +103,18 @@ class MarkovChain:
         if total <= 0:
             raise DomainError("failed to extract a stationary distribution")
         pi /= total
+        _check_reversible(self.transition, pi)
         pi.flags.writeable = False
         return pi
+
+    @cached_property
+    def _discriminant_spectrum(self) -> np.ndarray:
+        # Eigenvalues of D = sqrt(P * P^T), descending: the walk's phase gap
+        # and, for a full-support pi, the chain's own spectrum.
+        p = self.transition
+        vals = np.linalg.eigvalsh(np.sqrt(p * p.T))[::-1]
+        vals.flags.writeable = False
+        return vals
 
     @classmethod
     def from_json(cls, obj: dict) -> "MarkovChain":
@@ -480,9 +488,8 @@ def build_metropolis_matrix(mu, proposal: str = "single-bit-flip") -> MarkovChai
     elif proposal == "single-bit-flip":
         n_bits = _bit_count(dim)
         q = np.zeros((dim, dim))
-        for x in range(dim):
-            for bit in range(n_bits):
-                q[x, x ^ (1 << bit)] = 1.0 / n_bits
+        x = np.arange(dim)[:, None]
+        q[x, x ^ (1 << np.arange(n_bits))] = 1.0 / n_bits
     else:
         raise DomainError(f"proposal must be one of {PROPOSALS}")
 
@@ -499,39 +506,39 @@ def build_metropolis_matrix(mu, proposal: str = "single-bit-flip") -> MarkovChai
 def chain_eigenvalues(chain: MarkovChain) -> np.ndarray:
     """Real eigenvalues of a reversible chain, descending.
 
-    Uses the symmetrization diag(sqrt(pi)) P diag(1/sqrt(pi)) on the support
-    of pi, which keeps the eigenproblem Hermitian and accurate.
+    With pi > 0 everywhere, detailed balance makes the discriminant
+    D = sqrt(P * P^T) equal to diag(sqrt(pi)) P diag(1/sqrt(pi)), so P's
+    eigenvalues are D's: one symmetric eigenproblem per chain, shared with
+    discriminant_phase_gap. A pi with zeros falls back to eig(P), since the
+    transient block of P need not be symmetrisable and D's spectrum is then
+    not P's.
     """
-    pi = _stationary(chain)
-    _check_reversible(chain, pi)
-    p = chain.transition
-    support = pi > 0
-    if support.all():
-        root = np.sqrt(pi)
-        sym = (root[:, None] * p) / root[None, :]
-        vals = np.linalg.eigvalsh((sym + sym.T) / 2)
-    else:
-        vals = np.linalg.eigvals(p)
-        if np.abs(vals.imag).max() > 1e-9:
-            raise DomainError("reversible chain produced complex eigenvalues")
-        vals = vals.real
-    return np.sort(vals)[::-1]
+    if (_stationary(chain) > 0).all():
+        return chain._discriminant_spectrum
+    vals = np.linalg.eigvals(chain.transition)
+    if np.abs(vals.imag).max() > 1e-9:
+        raise DomainError("reversible chain produced complex eigenvalues")
+    return np.sort(vals.real)[::-1]
 
 
 def spectral_gap(chain: MarkovChain) -> float:
     """delta = |lambda_1| - |lambda_2| over the eigenvalue magnitudes."""
+    if chain.dim < 2:
+        raise DomainError(f"a spectral gap needs at least two states, got {chain.dim}")
     mags = np.sort(np.abs(chain_eigenvalues(chain)))[::-1]
     return float(mags[0] - mags[1])
 
 
 def _stationary(chain: MarkovChain) -> np.ndarray:
+    """The chain's pi, declared or solved; either way checked for detailed
+    balance, a declared pi at construction and a solved one when solved."""
     if chain.stationary is not None:
         return chain.stationary
     return chain._solved_stationary
 
 
-def _check_reversible(chain: MarkovChain, pi: np.ndarray) -> None:
-    flow = pi[:, None] * chain.transition
+def _check_reversible(p: np.ndarray, pi: np.ndarray) -> None:
+    flow = pi[:, None] * p
     dev = np.abs(flow - flow.T).max()
     if dev > BALANCE_TOL:
         raise DomainError(
@@ -645,17 +652,9 @@ def discriminant_phase_gap(chain: MarkovChain) -> float:
     1, and then the top eigenvalue is a nonzero phase too.
     """
     check_walk_size(chain.dim)
-    _check_reversible(chain, _stationary(chain))
-    p = chain.transition
-    vals = np.linalg.eigvalsh(np.sqrt(p * p.T))  # ascending
-    gap = float(np.arccos(np.clip(vals[-2], -1.0, 1.0)))
+    _stationary(chain)  # rejects a chain that is not reversible
+    gap = float(np.arccos(np.clip(chain._discriminant_spectrum[1], -1.0, 1.0)))
     if gap == 0.0:
         raise DomainError("walk spectrum is degenerate: no nonzero eigenphase")
     return gap
 
-
-def trajectory_to_csv(samples) -> str:
-    """CSV with header step,x; steps are 0-based recording indices."""
-    lines = ["step,x"]
-    lines.extend(f"{i},{x}" for i, x in enumerate(samples))
-    return "\n".join(lines) + "\n"

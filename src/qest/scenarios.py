@@ -232,13 +232,6 @@ def _spectral_max(a: HermitianOperator) -> float:
     return top if top > 0 else 1.0
 
 
-def mu_of_x(spec: ScenarioSpec, x: int, mode: str = "exact-mu") -> float:
-    """Diagonal element mu(x) for one basis state, exact or via the circuit."""
-    if not 0 <= x < spec.dim:
-        raise DomainError(f"x={x} out of range for dimension {spec.dim}")
-    return float(mu_table(spec, mode)[x])
-
-
 def mu_table(spec: ScenarioSpec, mode: str = "exact-mu") -> np.ndarray:
     """mu(x) = <x| V^dag f(A) V |x> for every basis state x, in one product.
 

@@ -128,15 +128,6 @@ def test_state_vector_validation():
     assert sv.as_register_tensor().shape == (2, 2, 2)
 
 
-def test_state_vector_json_round_trip():
-    rng = np.random.default_rng(5)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    sv = StateVector(1, 1, amps)
-    back = StateVector.from_json(sv.to_json())
-    np.testing.assert_allclose(back.amplitudes, sv.amplitudes, atol=1e-15)
-
-
 # ----------------------------------------------------------------- prepare
 
 def test_prepare_single_probe_identity():

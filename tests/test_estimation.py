@@ -11,8 +11,6 @@ from qest.estimation import (
     empirical_distribution,
     estimate_diag_element,
     sample_measurements,
-    samples_from_csv,
-    samples_to_csv,
 )
 from qest.numerics import (
     DomainError,
@@ -161,13 +159,6 @@ def test_shot_estimate_converges():
         errs.append(np.mean(errors))
     assert errs[1] < errs[0] / 3
 
-
-def test_csv_round_trip():
-    _, _, _, state = fixture_state(seed=9)
-    samples = sample_measurements(state, 64, seed=23)
-    text = samples_to_csv(samples)
-    assert text.splitlines()[0] == "s,probe,main,ancilla"
-    assert samples_from_csv(text) == samples
 
 
 def reference_sample_measurements(state, n_sam, seed):

@@ -30,7 +30,6 @@ from qest.sampler import (
     run_chain,
     spectral_gap,
     szegedy_walk_operator,
-    trajectory_to_csv,
     walk_eigenphases,
     _bit_count,
     _DrawStream,
@@ -125,6 +124,8 @@ def test_spectral_gap_hand_values():
 
 def test_spectral_gap_identity_chain():
     assert spectral_gap(MarkovChain(np.eye(4))) == pytest.approx(0.0)
+    with pytest.raises(DomainError, match="at least two states"):
+        spectral_gap(MarkovChain(np.eye(1)))
 
 
 def test_spectral_gap_rejects_non_reversible():
@@ -134,12 +135,49 @@ def test_spectral_gap_rejects_non_reversible():
         spectral_gap(MarkovChain(p))
 
 
+def reference_chain_eigenvalues(chain: MarkovChain) -> np.ndarray:
+    """Descending eigenvalues of diag(sqrt(pi)) P diag(1/sqrt(pi)), pi > 0."""
+    root = np.sqrt(chain.stationary)
+    sym = (root[:, None] * chain.transition) / root[None, :]
+    return np.sort(np.linalg.eigvalsh((sym + sym.T) / 2))[::-1]
+
+
 def test_chain_eigenvalues_match_direct_solve():
     rng = np.random.default_rng(97)
     chain = random_reversible_chain(rng, 8, "uniform")
     got = np.sort(chain_eigenvalues(chain))
     want = np.sort(np.linalg.eigvals(chain.transition).real)
     np.testing.assert_allclose(got, want, atol=1e-10)
+    # The discriminant's spectrum against the symmetrisation by sqrt(pi).
+    for dim in range(2, 65):
+        proposals = ("uniform", "single-bit-flip") if dim & (dim - 1) == 0 else ("uniform",)
+        for proposal in proposals:
+            chain = random_reversible_chain(np.random.default_rng([97, dim]), dim, proposal)
+            want = reference_chain_eigenvalues(chain)
+            np.testing.assert_allclose(chain_eigenvalues(chain), want, rtol=0, atol=1e-12)
+            mags = np.sort(np.abs(want))
+            assert spectral_gap(chain) == pytest.approx(mags[-1] - mags[-2], rel=1e-12)
+
+
+def reference_bit_flip_proposal(dim: int) -> np.ndarray:
+    n_bits = _bit_count(dim)
+    q = np.zeros((dim, dim))
+    for x in range(dim):
+        for bit in range(n_bits):
+            q[x, x ^ (1 << bit)] = 1.0 / n_bits
+    return q
+
+
+def test_bit_flip_matrix_equals_the_loop_proposal():
+    for n_bits in range(1, 9):
+        dim = 2 ** n_bits
+        mu = random_positive_weights(np.random.default_rng([98, dim]), dim)
+        q = reference_bit_flip_proposal(dim)
+        p = q * np.minimum(1.0, mu[None, :] / mu[:, None])
+        np.fill_diagonal(p, 0.0)
+        np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+        got = build_metropolis_matrix(mu, "single-bit-flip").transition
+        assert np.array_equal(got, p)
 
 
 # ------------------------------------------------------------------ sampling
@@ -230,11 +268,6 @@ def test_ratio_from_weights_values():
     assert ratio(1, 0) == pytest.approx(2.0)
     assert ratio(2, 0) == np.inf
     assert np.isnan(ratio(2, 2))
-
-
-def test_trajectory_csv_format():
-    text = trajectory_to_csv([3, 1, 4])
-    assert text.splitlines() == ["step,x", "0,3", "1,1", "2,4"]
 
 
 # ------------------------------------------------------------- Szegedy walk
@@ -767,12 +800,24 @@ def test_dense_walk_budget_raises_before_allocating(dim):
 
 def test_stationary_vector_is_solved_once_per_chain(monkeypatch):
     # walk-gap calls spectral_gap and then discriminant_phase_gap; a chain
-    # given without a stationary vector has it solved by one eig, not two.
+    # given without a stationary vector has it solved by one eig, not two,
+    # and checked for detailed balance once. Both gaps read one eigvalsh of
+    # the discriminant; a declared stationary vector was checked when the
+    # chain was built, so it needs no eig and no second check.
     rng = np.random.default_rng(1315)
-    chain = MarkovChain(random_reversible_chain(rng, 6, "uniform").transition)
+    declared = random_reversible_chain(rng, 6, "uniform")
+    solved = MarkovChain(declared.transition)
     calls = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))
-    spectral_gap(chain)
-    discriminant_phase_gap(chain)
-    assert calls == [(6, 6)]
+    for module, name in ((np.linalg, "eig"), (np.linalg, "eigvalsh"), (sampler, "_check_reversible")):
+        func = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda m, *rest, f=func, n=name: calls.append(n) or f(m, *rest)
+        )
+    for chain, want in (
+        (solved, ["eig", "_check_reversible", "eigvalsh"]),
+        (declared, ["eigvalsh"]),
+    ):
+        calls.clear()
+        spectral_gap(chain)
+        discriminant_phase_gap(chain)
+        assert calls == want

@@ -31,7 +31,6 @@ from qest.scenarios import (
     estimate_diagonal,
     estimate_partition,
     exact_oracle,
-    mu_of_x,
     mu_table,
     resolve_target,
     run_scenario_mean,
@@ -168,10 +167,10 @@ def test_scenario_rejects_non_density_rho():
         rho=HermitianOperator(np.diag([0.8, 0.8])),
     )
     with pytest.raises(DomainError):
-        mu_of_x(spec, 0)
+        mu_table(spec)
 
 
-# ----------------------------------------------------------------- mu_of_x
+# ----------------------------------------------------------------- mu_table
 
 def test_mu_kind_a_diagonal():
     spec = ScenarioSpec(
@@ -181,14 +180,16 @@ def test_mu_kind_a_diagonal():
         observable=diag_observable([0.0, 1.0]),
         rho=HermitianOperator(np.diag([2 / 3, 1 / 3])),
     )
-    assert mu_of_x(spec, 0) == pytest.approx(2 / 3, abs=1e-12)
-    assert mu_of_x(spec, 1) == pytest.approx(1 / 3, abs=1e-12)
+    mu = mu_table(spec)
+    assert mu[0] == pytest.approx(2 / 3, abs=1e-12)
+    assert mu[1] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_mu_kind_b_boltzmann_weights():
     spec = spec_b_fixture()
-    assert mu_of_x(spec, 0) == pytest.approx(1.0, abs=1e-12)
-    assert mu_of_x(spec, 1) == pytest.approx(0.5, abs=1e-12)
+    mu = mu_table(spec)
+    assert mu[0] == pytest.approx(1.0, abs=1e-12)
+    assert mu[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_mu_cross_mode_agreement():
@@ -207,10 +208,9 @@ def test_mu_cross_mode_agreement():
         ),
     ]
     for spec in specs:
-        for x in range(spec.dim):
-            exact = mu_of_x(spec, x, "exact-mu")
-            circ = mu_of_x(spec, x, "circuit-mu")
-            assert abs(exact - circ) <= 1e-8
+        exact = mu_table(spec, "exact-mu")
+        circ = mu_table(spec, "circuit-mu")
+        assert np.abs(exact - circ).max() <= 1e-8
 
 
 # ---------------------------------------------------------------- kind A/B
@@ -532,11 +532,6 @@ def test_circuit_mu_table_keeps_exact_zero_on_grid(n_probe):
 
 def test_mu_of_x_reads_the_table():
     spec = _table_spec("B", 4, 3, seed=7)
-    for mode in MODES:
-        table = mu_table(spec, mode)
-        assert [mu_of_x(spec, x, mode) for x in range(4)] == table.tolist()
-        with pytest.raises(DomainError, match="out of range"):
-            mu_of_x(spec, 4, mode)
     with pytest.raises(DomainError, match="mode"):
         mu_table(spec, "bogus")
 
