@@ -36,10 +36,6 @@ MAX_STATE_DIM = 2 ** 20
 # expanded into explicit gates.
 ANGLE_EMIT_TOL = 1e-12
 
-# Bytes of the float64 column block compose_gate_unitary runs through a gate
-# sequence at once (128 columns at 9 qubits); sized to stay in a core's L2.
-COMPOSE_BLOCK_BYTES = 2 ** 19
-
 
 def probe_grid(n_probe: int, dt: float) -> np.ndarray:
     """Probe grid points 2*pi*j / (dt * 2^n_probe) for j = 0 .. 2^n_probe - 1;
@@ -362,9 +358,10 @@ def expand_multiplexor(angles) -> GateSequence:
 
     Controls are the probe qubits 0 .. k-1 (qubit 0 most significant), the
     target is qubit k. The Gray-code walk needs one rotation slot and one
-    CNOT per angle; rotation angles are the Hadamard-type transform of the
-    input angles, with sign patterns given by the Gray code of each slot, so
-    the CNOT parity flips reproduce exactly theta_j on control branch j.
+    CNOT per angle; slot i rotates by sum_x (-1)^popcount(x & gray(i))
+    theta_x / n, the Walsh-Hadamard transform of the input angles read in
+    Gray-code order, so the CNOT parity flips reproduce exactly theta_j on
+    control branch j.
     """
     angles = np.asarray(angles, dtype=float)
     n = angles.shape[0]
@@ -376,8 +373,16 @@ def expand_multiplexor(angles) -> GateSequence:
     if k == 0:
         return GateSequence(1, (Gate("RY", 0, angle=float(angles[0])),))
 
+    # Each butterfly pass turns the lowest remaining index bit into pairwise
+    # sums and differences stored as the top bit, so k passes leave the
+    # transform in standard order. Dividing by n first (exact unless it
+    # underflows) keeps every partial sum within max |theta|.
+    transform = angles / n
+    for _ in range(k):
+        even, odd = transform[0::2], transform[1::2]
+        transform = np.concatenate((even + odd, even - odd))
     gray = [i ^ (i >> 1) for i in range(n)]
-    slot_angles = _gray_code_signs(n).T @ angles / n
+    slot_angles = transform[gray]
 
     gates = []
     for i in range(n):
@@ -386,19 +391,6 @@ def expand_multiplexor(angles) -> GateSequence:
         flipped_bit = (gray[i] ^ gray[(i + 1) % n]).bit_length() - 1
         gates.append(Gate("CNOT", k, control=k - 1 - flipped_bit))
     return GateSequence(k + 1, tuple(gates))
-
-
-def _gray_code_signs(n: int) -> np.ndarray:
-    """signs[x, i] = (-1)^popcount(x & gray(i)) over x, i < n, gray(i) = i ^ (i >> 1).
-
-    The parity is an xor-fold of the masked bits, so the whole matrix is a few
-    integer array operations.
-    """
-    i = np.arange(n, dtype=np.int64)
-    bits = i[:, None] & (i ^ (i >> 1))[None, :]
-    for shift in (32, 16, 8, 4, 2, 1):
-        bits ^= bits >> shift
-    return 1.0 - 2.0 * (bits & 1)
 
 
 def _qubit_views(block: np.ndarray, axes, bits):
@@ -414,36 +406,31 @@ def _qubit_views(block: np.ndarray, axes, bits):
     return block.reshape(shape)[tuple(select)]
 
 
-def compose_gate_unitary(seq: GateSequence) -> np.ndarray:
-    """Multiply a gate sequence into a dense unitary (qubit 0 most significant).
+def _compose_blocks(seq: GateSequence):
+    """The diagonal blocks of a gate sequence's unitary over the qubits no
+    gate targets, and their rows: blocks[v, b, a] is the entry at row
+    rows[v, b] and column rows[v, a], for v over the untargeted qubits'
+    assignments and b, a over the targeted ones', each ascending.
 
-    A qubit that no gate targets is at most a CNOT control, so it keeps its
-    value and the unitary is block diagonal over those qubits. One column is
-    evolved per assignment a of the targeted qubits, starting as the sum of
-    |v, a> over every assignment v of the untargeted ones: its rows with
-    untargeted bits v are column (v, a) of the unitary, and every other
-    entry is 0. Each row meets the same float operations as it would in its
-    own column, so the bits are those of a column-by-column product and the
-    work per gate is O(dim * 2^targeted), not O(dim * dim).
-
-    Every gate is real, so the product is built in float64 and cast to
-    complex once. Columns evolve independently: each block of columns
-    (COMPOSE_BLOCK_BYTES of float64) runs through the whole sequence while
-    it stays in cache, and each gate updates the block in place in
-    O(dim * block) work. An RY computes c*m0 - s*m1 and s*m0 + c*m1, as a
-    complex product would, so the result does not depend on the blocking.
-    Inside a block the row axes are ordered by how many RY gates target each
-    qubit, most first, so the rotations mostly update contiguous halves.
+    An untargeted qubit is at most a CNOT control, so it keeps its value.
+    One column is evolved per assignment a of the targeted qubits, starting
+    as the sum of |v, a> over every v: its rows with untargeted bits v are
+    column (v, a) of the unitary. Each row meets the same float operations
+    as in its own column, so the bits are those of a column-by-column
+    product, in O(dim * 2^targeted) work per gate. Every gate is real, so
+    the columns are float64, updated in place; an RY computes c*m0 - s*m1
+    and s*m0 + c*m1, as a complex product would. Row axes are ordered by how
+    many RY gates target each qubit, most first, so the rotations mostly
+    update contiguous halves.
     """
     n = seq.n_qubits
     dim = 2 ** n
     targeted = {g.target for g in seq.gates}
-    n_columns = 2 ** len(targeted)
-    width = min(n_columns, max(1, COMPOSE_BLOCK_BYTES // (8 * dim)))
+    width = 2 ** len(targeted)
     ry_targets = [g.target for g in seq.gates if g.name == "RY"]
     order = sorted(range(n), key=lambda q: -ry_targets.count(q))
     axis = {q: i for i, q in enumerate(order)}
-    block = np.empty((dim, width))
+    block = np.zeros((dim, width))
     scratch = np.empty(dim * width // 2), np.empty(dim * width // 2)
     # The in-place views of a gate depend only on its qubits, so each is
     # built once and shared by every gate on the same qubits.
@@ -459,33 +446,51 @@ def compose_gate_unitary(seq: GateSequence) -> np.ndarray:
             views[key] = (m0, m1) + tuple(buf[:m0.size].reshape(m0.shape) for buf in scratch)
         rotation = (np.cos(g.angle / 2), np.sin(g.angle / 2)) if g.name == "RY" else (None, None)
         steps.append(views[key] + rotation)
-    # Each standard index split into the bits of the untargeted qubits
-    # (home) and the rest; evolved column i starts on targeted_bits[i].
     rows = np.arange(dim)
     home = rows & sum(2 ** (n - 1 - q) for q in range(n) if q not in targeted)
-    idle_bits = rows[home == rows]
-    targeted_bits = rows[home == 0]
+    # Untargeted bits v (rows) or'd with targeted bits b (columns); evolved
+    # column a starts on block_rows[:, a].
+    block_rows = rows[home == rows][:, None] | rows[home == 0]
     # Block row of each standard basis index, and the block seen with its
     # row axes in the standard qubit order.
     inverse = list(np.argsort(order))
     row_of = rows.reshape((2,) * n).transpose(inverse).ravel()
-    standard = block.reshape((2,) * n + (width,)).transpose(inverse + [n])
-    out = np.zeros((dim, dim), dtype=complex)
-    for start in range(0, n_columns, width):
-        bits = targeted_bits[start:start + width]
-        block.fill(0.0)
-        block[row_of[idle_bits[:, None] | bits], np.arange(width)] = 1.0
-        for m0, m1, a, b, c, s in steps:
-            if c is None:  # CNOT: swap the target halves where the control is 1
-                np.copyto(a, m0)
-                np.copyto(m0, m1)
-                np.copyto(m1, a)
-                continue
-            np.multiply(m0, c, out=a)
-            np.multiply(m1, s, out=b)
-            m1 *= c
-            m0 *= s
-            m1 += m0
-            np.subtract(a, b, out=m0)
-        out[rows[:, None], home[:, None] | bits] = standard.reshape(dim, width)
+    block[row_of[block_rows], np.arange(width)] = 1.0
+    for m0, m1, a, b, c, s in steps:
+        if c is None:  # CNOT: swap the target halves where the control is 1
+            np.copyto(a, m0)
+            np.copyto(m0, m1)
+            np.copyto(m1, a)
+            continue
+        np.multiply(m0, c, out=a)
+        np.multiply(m1, s, out=b)
+        m1 *= c
+        m0 *= s
+        m1 += m0
+        np.subtract(a, b, out=m0)
+    standard = block.reshape((2,) * n + (width,)).transpose(inverse + [n]).reshape(dim, width)
+    return standard[block_rows], block_rows
+
+
+def compose_gate_unitary(seq: GateSequence) -> np.ndarray:
+    """Multiply a gate sequence into a dense complex unitary (qubit 0 most
+    significant): the diagonal blocks of _compose_blocks scattered into
+    zeros, bitwise equal to a column-by-column complex product."""
+    blocks, rows = _compose_blocks(seq)
+    out = np.zeros((2 ** seq.n_qubits,) * 2, dtype=complex)
+    out[rows[:, :, None], rows[:, None, :]] = blocks
     return out
+
+
+def multiplexor_deviation(seq: GateSequence, angles) -> float:
+    """max |compose_gate_unitary(seq) - multiplexor_block(angles)|, bitwise, from
+    the 2x2 diagonal blocks: O(len(seq) n) time, O(len(seq) + n) memory for n
+    angles. seq must target only its last qubit, as expand_multiplexor's does."""
+    angles = np.asarray(angles, dtype=float)
+    last = seq.n_qubits - 1
+    if {g.target for g in seq.gates} != {last} or 2 ** last != angles.size:
+        raise DomainError("gate sequence is not a multiplexor over the given angles")
+    blocks = _compose_blocks(seq)[0]
+    c, s = np.cos(angles / 2), np.sin(angles / 2)
+    want = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+    return float(np.abs(blocks - want).max())

@@ -522,10 +522,14 @@ def chain_eigenvalues(chain: MarkovChain) -> np.ndarray:
 
 
 def spectral_gap(chain: MarkovChain) -> float:
-    """delta = |lambda_1| - |lambda_2| over the eigenvalue magnitudes."""
+    """delta = |lambda_1| - |lambda_2| over the eigenvalue magnitudes. With
+    zeros in pi it reads eig(P), whose transient block may have a complex
+    pair (a transient cycle): delta needs only magnitudes."""
     if chain.dim < 2:
         raise DomainError(f"a spectral gap needs at least two states, got {chain.dim}")
-    mags = np.sort(np.abs(chain_eigenvalues(chain)))[::-1]
+    full = (_stationary(chain) > 0).all()
+    vals = chain._discriminant_spectrum if full else np.linalg.eigvals(chain.transition)
+    mags = np.sort(np.abs(vals))[::-1]
     return float(mags[0] - mags[1])
 
 

@@ -6,11 +6,12 @@ by matrix-vector multiplication, so they exercise none of the axis
 gymnastics used by the implementation.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from qest.circuit import (
-    COMPOSE_BLOCK_BYTES,
     MAX_STATE_DIM,
     CircuitConfig,
     Gate,
@@ -23,9 +24,9 @@ from qest.circuit import (
     expand_multiplexor,
     leakage_amplitude,
     multiplexor_block,
+    multiplexor_deviation,
     prepare_initial_state,
     run_tomography_circuit,
-    _gray_code_signs,
 )
 from qest.numerics import (
     DomainError,
@@ -562,11 +563,8 @@ def test_compose_bitwise_equals_reference_at_register_edges():
         assert np.array_equal(compose_gate_unitary(seq), reference_compose_gate_unitary(seq))
 
 
-def test_compose_bitwise_across_several_column_blocks():
-    # 2^9 rows give a block narrower than the matrix, so columns are
-    # composed in more than one block.
+def test_compose_bitwise_on_a_random_nine_qubit_sequence():
     n_qubits = 9
-    assert COMPOSE_BLOCK_BYTES // (8 * 2 ** n_qubits) < 2 ** n_qubits
     seq = _random_sequence(np.random.default_rng(227), n_qubits, 30)
     assert np.array_equal(compose_gate_unitary(seq), reference_compose_gate_unitary(seq))
 
@@ -578,16 +576,56 @@ def test_compose_bitwise_equals_reference_on_multiplexors():
         assert np.array_equal(compose_gate_unitary(seq), reference_compose_gate_unitary(seq))
 
 
-def test_gray_code_signs_match_the_popcount_loop():
-    for n in (1, 2, 4, 8, 64, 256):
+def _slot_angles(seq: GateSequence) -> list:
+    """Rotation angle of each Gray-code slot (0.0 where no RY was emitted);
+    every slot but a lone angle's ends with a CNOT."""
+    slots, angle = [], 0.0
+    for g in seq.gates:
+        if g.name == "RY":
+            angle = g.angle
+        else:
+            slots.append(angle)
+            angle = 0.0
+    return slots or [angle]
+
+
+def test_slot_angles_match_the_popcount_fsum():
+    # Slot i rotates by sum_x (-1)^popcount(x & gray(i)) theta_x / n,
+    # summed here exactly (fsum) term by term from the popcount signs.
+    rng = np.random.default_rng(277)
+    for k in range(11):
+        n = 2 ** k
         gray = [i ^ (i >> 1) for i in range(n)]
-        loop = np.array(
-            [[-1.0 if bin(x & gray[i]).count("1") % 2 else 1.0 for i in range(n)]
-             for x in range(n)]
-        )
-        signs = _gray_code_signs(n)
-        assert signs.dtype == loop.dtype and signs.flags.c_contiguous
-        assert np.array_equal(signs, loop)
+        for angles in (rng.uniform(-np.pi, np.pi, n), rng.uniform(-7, 7, n)):
+            want = [
+                math.fsum(
+                    -a if bin(x & gray[i]).count("1") % 2 else a for x, a in enumerate(angles)
+                ) / n
+                for i in range(n)
+            ]
+            got = _slot_angles(expand_multiplexor(angles))
+            assert len(got) == n
+            assert np.abs(np.array(got) - want).max() <= 2.0 ** -50 * np.abs(angles).max()
+
+
+def test_multiplexor_deviation_equals_the_dense_check():
+    rng = np.random.default_rng(281)
+    for k in range(11):
+        angles = rng.uniform(-np.pi, np.pi, 2 ** k)
+        seq = expand_multiplexor(angles)
+        dense = np.abs(compose_gate_unitary(seq) - multiplexor_block(angles)).max()
+        got = multiplexor_deviation(seq, angles)
+        assert type(got) is float and got <= 1e-10
+        assert got == dense
+
+
+def test_multiplexor_deviation_rejects_a_sequence_that_is_not_the_multiplexor():
+    seq = expand_multiplexor([0.3, -1.1, 0.9, 2.2])
+    with pytest.raises(DomainError, match="not a multiplexor"):
+        multiplexor_deviation(seq, [0.3, -1.1])
+    moved = GateSequence(3, (Gate("RY", 0, angle=0.3),) + seq.gates)
+    with pytest.raises(DomainError, match="not a multiplexor"):
+        multiplexor_deviation(moved, [0.3, -1.1, 0.9, 2.2])
 
 
 def _sequence_targeting(rng, n_qubits: int, targeted, n_gates: int, ry_share=0.5) -> GateSequence:
@@ -648,11 +686,9 @@ def test_compose_bitwise_with_every_qubit_targeted():
         _assert_composes_like_reference(GateSequence(n_qubits, head + tail))
 
 
-def test_compose_bitwise_when_targeted_columns_span_several_blocks():
-    # 8 targeted qubits out of 9 give 2^8 evolved columns, more than one
-    # block of 2^9-row columns holds.
+def test_compose_bitwise_with_eight_of_nine_qubits_targeted():
+    # 8 targeted qubits out of 9 give 2^8 evolved columns.
     n_qubits = 9
-    assert COMPOSE_BLOCK_BYTES // (8 * 2 ** n_qubits) < 2 ** 8
     rng = np.random.default_rng(263)
     for idle in (0, 4, 8):
         targeted = [q for q in range(n_qubits) if q != idle]

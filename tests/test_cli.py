@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -380,6 +382,24 @@ def test_walk_gap_flags_non_reversible_row(tmp_path, capsys):
     assert out.strip().splitlines()[-1] == ",,,non-reversible"
 
 
+def test_walk_gap_reads_a_transient_cycle_as_reversible(tmp_path, capsys):
+    # A transient 3-cycle feeding an absorbing state: detailed balance holds
+    # for its solved pi = e_0, and P's complex pair -0.45 +- 0.78i has the
+    # magnitude 0.9 that delta reads.
+    p = [[1.0, 0.0, 0.0, 0.0], [0.1, 0.0, 0.9, 0.0], [0.1, 0.0, 0.0, 0.9], [0.1, 0.9, 0.0, 0.0]]
+    path = write_json(tmp_path / "walk.json", {"chains": [{"transition": p}]})
+    code, out, _ = run_cli(["walk-gap", "--config", path], capsys)
+    assert code == 0
+    delta, gap, ratio, status = out.strip().splitlines()[-1].split(",")
+    assert status == "ok"
+    assert float(delta) == pytest.approx(0.1, abs=1e-12)
+    assert float(gap) == pytest.approx(np.pi / 2, abs=1e-12)
+    chain = sampler.MarkovChain(np.array(p))
+    oracle = sampler.phase_gap(sampler.szegedy_walk_operator(chain), chain)
+    assert float(gap) == pytest.approx(oracle, abs=1e-12)
+    assert float(ratio) == float(gap) / np.sqrt(2 * float(delta))
+
+
 def test_walk_gap_does_not_build_the_dense_walk(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("walk-gap used the dense walk")
@@ -425,7 +445,7 @@ def test_compile_mux_round_trip(tmp_path, capsys):
 
 
 def test_compile_mux_verifies_at_the_angle_cap(tmp_path, capsys):
-    angles = np.random.default_rng(233).uniform(-np.pi, np.pi, cli.VERIFY_ANGLE_CAP)
+    angles = np.random.default_rng(233).uniform(-np.pi, np.pi, cli.MAX_MUX_ANGLES)
     path = write_json(tmp_path / "angles.json", angles.tolist())
     code, out, err = run_cli(["compile-mux", "--config", path], capsys)
     assert code == 0
@@ -434,6 +454,38 @@ def test_compile_mux_verifies_at_the_angle_cap(tmp_path, capsys):
     assert err.startswith(prefix) and err.count("\n") == 1
     assert float(err[len(prefix):]) <= 1e-10
     assert f"# qubits: {len(angles).bit_length()} " in out
+
+
+@pytest.mark.parametrize("n_angles, budget_mb", [(2 ** 10, 4), (cli.MAX_MUX_ANGLES, 16)])
+def test_compile_mux_memory_is_linear(n_angles, budget_mb, tmp_path, capsys):
+    angles = np.random.default_rng(239).uniform(-np.pi, np.pi, n_angles)
+    path = write_json(tmp_path / "angles.json", angles.tolist())
+    tracemalloc.start()
+    try:
+        code = main(["compile-mux", "--config", path, "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "max unitary deviation" in capsys.readouterr().err
+    assert peak <= budget_mb * 2 ** 20
+
+
+@pytest.mark.parametrize(
+    "angles", [[1e308, 1e308], [1.7e308, -1.7e308, 1.7e308, -1.7e308]], ids=["pair", "alternating"]
+)
+def test_compile_mux_near_overflow_angles(angles, tmp_path, capsys):
+    # Slot angles are partial sums of angles / n, so none overflows.
+    path = write_json(tmp_path / "angles.json", angles)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["compile-mux", "--config", path], capsys)
+    assert code == 0
+    seq = GateSequence.from_text(out)
+    assert all(np.isfinite(g.angle) for g in seq.gates)
+    prefix = "verification: max unitary deviation "
+    assert err.startswith(prefix)
+    assert np.isfinite(float(err[len(prefix):]))
 
 
 def test_compile_mux_plain_number_file(tmp_path, capsys):
@@ -458,8 +510,8 @@ class Compiled(Exception):
 
 @pytest.mark.parametrize("factor", [1, 2])
 def test_compile_mux_angle_count_cap(factor, tmp_path, capsys, monkeypatch):
-    # The compiler's sign matrix is O(n^2), so n over the cap is refused at
-    # load, before anything of that size is built; n at the cap is compiled.
+    # Verification takes O(n^2) time, so n over the cap is refused at load,
+    # before anything is compiled; n at the cap is compiled.
     def compiled(angles):
         raise Compiled
 
