@@ -36,6 +36,7 @@ from .numerics import (
 )
 from .sampler import (
     MAX_CHAIN_STEPS,
+    PROPOSALS,
     MarkovChain,
     SamplerError,
     check_walk_size,
@@ -330,6 +331,11 @@ def _chains_from_config(cfg: dict, base: Path, seed: int):
             raise ConfigError("'dims' must be a nonempty list of integers")
         dims = [_typed(d, int, "a 'dims' entry") for d in dims]
         proposal = rand.get("proposal", "uniform")
+        if proposal not in PROPOSALS:
+            raise ConfigError(f"random proposal must be one of {PROPOSALS}, got {proposal!r}")
+        bad = [d for d in dims if d & (d - 1)]
+        if proposal == "single-bit-flip" and bad:
+            raise ConfigError(f"single-bit-flip chains need power-of-two dims, got {bad[0]}")
         rng = np.random.default_rng(_seed(rand.get("seed", seed), "random seed"))
     try:
         for n in [chain.dim for chain in chains] + dims:

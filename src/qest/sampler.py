@@ -1,17 +1,16 @@
-"""Metropolis sampling from ratio oracles and quantum-walk gap diagnostics.
+"""Metropolis sampling over explicit weights and quantum-walk gap diagnostics.
 
-The sampler only ever sees ratios mu(x')/mu(x), so any overall scale of the
-target measure is irrelevant. The walk side reads mixing information out of
-the walk's eigenphases, which sit at plus or minus arccos of the chain
-eigenvalues: from the N x N discriminant (discriminant_phase_gap), or from
-the dense N^2 x N^2 bipartite reflection operator, which is kept as its
-oracle.
+The sampler reads the target's weights only through ratios mu(x')/mu(x),
+so any overall scale of the target measure is irrelevant. The walk side
+reads mixing information out of the walk's eigenphases, which sit at plus or
+minus arccos of the chain eigenvalues: from the N x N discriminant
+(discriminant_phase_gap), or from the dense N^2 x N^2 bipartite reflection
+operator, which is kept as its oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -154,9 +153,10 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ChainRun:
-    """Recorded trajectory plus acceptance bookkeeping."""
+    """Recorded trajectory (an np.intp index array) plus acceptance
+    bookkeeping."""
 
-    samples: list
+    samples: np.ndarray
     n_proposed: int
     n_accepted: int
 
@@ -249,46 +249,41 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0 ** -53
 
 
-def run_chain(ratio, dim: int, config: ChainConfig) -> ChainRun:
-    """Metropolis walk over states 0 .. dim-1 driven by a ratio oracle.
+def run_chain(weights, config: ChainConfig) -> ChainRun:
+    """Metropolis walk over the states 0 .. len(weights)-1 of a target measure.
 
-    ratio(x, y) must return mu(y)/mu(x); it may return inf when mu(x) = 0
-    and nan when both measures vanish. The chain starts at state 0, runs
-    burn_in transitions, then records every thinning-th state until n_steps
-    samples exist. A start from which only nan ratios are seen within the
-    retry budget means the target is identically zero.
+    weights holds mu(x), finite and nonnegative; only the ratios
+    mu(y)/mu(x) enter, so any overall scale is irrelevant. The chain starts
+    at state 0, runs burn_in transitions, then records every thinning-th
+    state until n_steps samples exist, as an np.intp index array. A start
+    from which only undefined ratios (0/0) are seen within the retry budget
+    means the target is identically zero.
 
     Each step draws rng.integers(0, n) for the proposal (n = dim, or the bit
     count for single-bit-flip) and then rng.random() for the acceptance test,
     rng = default_rng(config.seed), whether or not the move is taken; the
     draws are decoded a block at a time (see _DrawStream).
-
-    An oracle from ratio_from_weights is not called: the walk reads its
-    weights directly (_WeightWalk), with the same trajectory, counters and
-    errors as calling it, and its weight count must equal dim.
     """
-    if not 1 <= dim <= 2 ** 32:  # the decoder follows numpy's 32-bit draw path
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise DomainError(f"weights must be a nonempty vector, got shape {w.shape}")
+    if not np.all(np.isfinite(w)) or w.min() < 0:
+        raise DomainError("weights must be finite and nonnegative")
+    dim = w.size
+    if dim > 2 ** 32:  # the decoder follows numpy's 32-bit draw path
         raise DomainError(f"dimension must be in 1 .. 2**32, got {dim}")
-    flip = config.proposal == "single-bit-flip"
-    n = _bit_count(dim) if flip else dim
-    nan_budget = 100 + 10 * dim
-    if isinstance(ratio, _WeightRatio):
-        if len(ratio.weights) != dim:
-            raise DomainError(
-                f"{len(ratio.weights)} weights for a chain over {dim} states"
-            )
-        walk = _WeightWalk(ratio.weights, flip, nan_budget)
-    else:
-        walk = _OracleWalk(ratio, flip, nan_budget)
-    draws = _DrawStream(np.random.default_rng(config.seed), n)
+    walk = _WeightWalk(w.tolist(), config.proposal == "single-bit-flip", 100 + 10 * dim)
+    draws = _DrawStream(np.random.default_rng(config.seed), walk.n_bits or dim)
 
-    samples = []
+    samples = np.empty(config.n_steps, np.intp)
+    filled = 0
     total = config.burn_in + config.n_steps * config.thinning
     record = config.burn_in + config.thinning - 1  # next step whose state is kept
     for start in range(0, total, BLOCK_STEPS):
         states = walk.advance(*draws.take(min(BLOCK_STEPS, total - start)))
         kept = states[record - start::config.thinning]
-        samples += kept
+        samples[filled:filled + len(kept)] = kept
+        filled += len(kept)
         record += len(kept) * config.thinning
     if not walk.n_accepted and walk.nan_streak == total:
         # Short runs can end before the streak budget trips.
@@ -309,55 +304,16 @@ def _zero_target_error(nan_streak: int | None = None) -> SamplerError:
     )
 
 
-class _OracleWalk:
-    """Metropolis steps that call the ratio oracle, one call per step.
-
-    nan_streak counts the nan ratios seen before the first acceptance; past
-    nan_budget the target counts as identically zero.
-    """
-
-    __slots__ = ("ratio", "flip", "nan_budget", "x", "n_accepted", "nan_streak")
-
-    def __init__(self, ratio, flip: bool, nan_budget: int):
-        self.ratio, self.flip, self.nan_budget = ratio, flip, nan_budget
-        self.x = self.n_accepted = self.nan_streak = 0
-
-    def advance(self, props: np.ndarray, uniform: np.ndarray) -> list:
-        """Take one step per draw; the state after each step, in order."""
-        ratio, flip, x = self.ratio, self.flip, self.x
-        n_accepted, nan_streak = self.n_accepted, self.nan_streak
-        if flip:
-            props = np.uint64(1) << props
-        states = []
-        for y, u in zip(props.tolist(), uniform.tolist()):
-            if flip:
-                y ^= x
-            r = float(ratio(x, y))
-            if r != r:  # nan: the move is refused, its uniform still drawn
-                if not n_accepted:
-                    nan_streak += 1
-                    if nan_streak > self.nan_budget:
-                        raise _zero_target_error(nan_streak)
-            elif r < 0:
-                raise DomainError(f"ratio oracle returned negative value {r}")
-            elif u < r:  # u < min(1, r), as u < 1
-                x = y
-                n_accepted += 1
-            states.append(x)
-        self.x, self.n_accepted, self.nan_streak = x, n_accepted, nan_streak
-        return states
-
-
 class _WeightWalk:
-    """_OracleWalk over a _WeightRatio, with the ratio read inline.
+    """Metropolis steps over a weight list, the ratio w[y] / w[x] read inline.
 
-    The same floats reach the same comparisons: w[y] / w[x] is the oracle's
-    division, and u < r is its acceptance test. Weights are finite and
-    nonnegative, so no ratio is negative, and a ratio out of a positive
-    weight is never nan. A move into a zero weight is then refused (u < 0
-    fails), so a zero-weight state is occupied only at the start, before the
-    first acceptance: only there can nan ratios occur, and from there every
-    move into a positive weight has ratio inf and is taken.
+    nan_streak counts the undefined ratios (0/0) seen before the first
+    acceptance; past nan_budget the target counts as identically zero.
+    Weights are finite and nonnegative, so no ratio is negative, and a ratio
+    out of a positive weight is never nan. A move into a zero weight is then
+    refused (u < 0 fails), so a zero-weight state is occupied only at the
+    start, before the first acceptance: only there can nan ratios occur, and
+    from there every move into a positive weight has ratio inf and is taken.
 
     For single-bit-flip, state x's ratios w[x ^ 2^b] / w[x] over the n_bits
     bits b are computed once, when x is first occupied.
@@ -410,7 +366,7 @@ class _WeightWalk:
         wx = w[x]
         append = states.append
         for y, u in zip(props, uniform):
-            if u < w[y] / wx:  # y == x counts as accepted, as in the oracle walk
+            if u < w[y] / wx:  # u < min(1, r), as u < 1; y == x counts as accepted
                 x = y
                 wx = w[y]
                 n_accepted += 1
@@ -434,37 +390,6 @@ class _WeightWalk:
         wx = w[x]
         row = self.rows[x] = [w[x ^ (1 << b)] / wx for b in range(self.n_bits)]
         return row
-
-
-def metropolis_sample(ratio, dim: int, config: ChainConfig) -> list:
-    """Trajectory only; see run_chain for the kernel contract."""
-    return run_chain(ratio, dim, config).samples
-
-
-class _WeightRatio:
-    """mu(y)/mu(x) over a weight list (y/0 is inf, 0/0 is nan); run_chain
-    reads .weights directly instead of calling it."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights: list):
-        self.weights = weights
-
-    def __call__(self, x, y):
-        w = self.weights
-        if w[x]:
-            return w[y] / w[x]
-        return math.inf if w[y] else math.nan
-
-
-def ratio_from_weights(mu):
-    """Ratio oracle for an explicit weight vector (y/0 is inf, 0/0 is nan)."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1 or mu.size == 0:
-        raise DomainError(f"weights must be a nonempty vector, got shape {mu.shape}")
-    if not np.all(np.isfinite(mu)) or mu.min() < 0:
-        raise DomainError("weights must be finite and nonnegative")
-    return _WeightRatio(mu.tolist())
 
 
 def build_metropolis_matrix(mu, proposal: str = "single-bit-flip") -> MarkovChain:

@@ -43,7 +43,6 @@ from .numerics import (
 from .sampler import (
     ChainConfig,
     build_metropolis_matrix,
-    ratio_from_weights,
     run_chain,
     spectral_gap,
 )
@@ -264,12 +263,6 @@ def _overlaps(a: HermitianOperator, v: UnitaryOperator, x0: int | None = None):
     return np.abs(a.spectrum.basis_changer.entries.conj().T @ columns) ** 2
 
 
-def _trajectory(run) -> tuple[np.ndarray, np.ndarray]:
-    """A chain's samples as an index array, and the visit count per state."""
-    samples = np.fromiter(run.samples, np.intp, len(run.samples))
-    return samples, np.bincount(samples)
-
-
 def _chain_diagnostics(mu: np.ndarray, run, counts, spec: ScenarioSpec) -> dict:
     diag = {
         "acceptance_rate": run.acceptance_rate,
@@ -293,10 +286,10 @@ def run_scenario_mean(spec: ScenarioSpec, mode: str = "exact-mu") -> EstimateRep
     if spec.kind not in ("A", "B"):
         raise DomainError("run_scenario_mean handles kinds A and B only")
     mu = mu_table(spec, mode)
-    run = run_chain(ratio_from_weights(mu), spec.dim, spec.chain_config())
-    samples, counts = _trajectory(run)
+    run = run_chain(mu, spec.chain_config())
     omega_vals = np.asarray(spec.observable.eigenvalues)
-    point, se = _mean_and_error(omega_vals[samples])
+    point, se = _mean_and_error(omega_vals[run.samples])
+    counts = np.bincount(run.samples)
     diag = _chain_diagnostics(mu, run, counts, spec)
     return EstimateReport(point, se, spec.n_sam, mode, diag)
 
@@ -315,10 +308,10 @@ def run_scenario_partition(spec: ScenarioSpec, mode: str = "exact-mu") -> Estima
     if spec.kind != "C":
         raise DomainError("run_scenario_partition handles kind C only")
     mu = mu_table(spec, mode)
-    run = run_chain(ratio_from_weights(mu), spec.dim, spec.chain_config())
-    samples, counts = _trajectory(run)
-    freqs = counts / len(samples)
-    point, se = _mean_and_error(mu[samples] / freqs[samples])
+    run = run_chain(mu, spec.chain_config())
+    counts = np.bincount(run.samples)
+    freqs = counts / len(run.samples)
+    point, se = _mean_and_error(mu[run.samples] / freqs[run.samples])
     diag = _chain_diagnostics(mu, run, counts, spec)
     return EstimateReport(point, se, spec.n_sam, mode, diag)
 

@@ -673,6 +673,30 @@ def test_walk_gap_chain_sizes_are_config_errors(case, tmp_path, capsys, monkeypa
     assert err.count("\n") == 1
 
 
+# Random walk-gap chains whose proposal is not a name, or is single-bit-flip
+# over a dimension that is not a power of two. These used to exit 3 from the
+# first chain built; now they are rejected before any chain is built.
+WALK_BAD_PROPOSAL = {
+    "unknown-name": {"random": {"n_chains": 2, "dim": 6, "proposal": "bogus"}},
+    "not-a-string": {"random": {"n_chains": 2, "dim": 6, "proposal": ["x"]}},
+    "bit-flip-dim-6": {"random": {"n_chains": 2, "dim": 6, "proposal": "single-bit-flip"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_BAD_PROPOSAL))
+def test_walk_gap_random_proposal_is_a_config_key(case, tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a chain for a bad proposal")
+
+    monkeypatch.setattr(cli, "random_reversible_chain", refuse)
+    path = write_json(tmp_path / "walk.json", WALK_BAD_PROPOSAL[case])
+    code, out, err = run_cli(["walk-gap", "--config", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
+
+
 # Walk-gap chains with a JSON null (nan) entry; the first used to end in a
 # LinAlgError traceback and the second in an "ok" row.
 WALK_NON_FINITE = {

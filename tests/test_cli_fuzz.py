@@ -53,7 +53,7 @@ FIXTURES = {
         "n_sam": 200,
         "seed": 13,
     },
-    "walk-gap": {"random": {"n_chains": 5, "dim": 6, "seed": 5}},
+    "walk-gap": {"random": {"n_chains": 5, "dim": 6, "seed": 5, "proposal": "uniform"}},
 }
 
 _leaf = st.one_of(st.none(), st.booleans(), st.text(max_size=4))

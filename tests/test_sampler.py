@@ -24,9 +24,7 @@ from qest.sampler import (
     build_metropolis_matrix,
     chain_eigenvalues,
     discriminant_phase_gap,
-    metropolis_sample,
     phase_gap,
-    ratio_from_weights,
     run_chain,
     spectral_gap,
     szegedy_walk_operator,
@@ -184,7 +182,7 @@ def test_bit_flip_matrix_equals_the_loop_proposal():
 
 def test_uniform_target_frequency():
     cfg = ChainConfig(10 ** 5, seed=101, proposal="uniform", burn_in=100)
-    samples = metropolis_sample(ratio_from_weights(np.ones(2)), 2, cfg)
+    samples = run_chain(np.ones(2), cfg).samples
     # Uniform target, uniform proposal: every move accepts, draws are iid.
     freq = frequencies(samples, 2)
     assert abs(freq[0] - 0.5) <= 3 * np.sqrt(0.25 / 10 ** 5)
@@ -192,8 +190,8 @@ def test_uniform_target_frequency():
 
 def test_absorbing_support_stays_put():
     cfg = ChainConfig(500, seed=7, proposal="uniform", burn_in=50)
-    samples = metropolis_sample(ratio_from_weights(np.array([1.0, 0.0])), 2, cfg)
-    assert samples == [0] * 500
+    samples = run_chain(np.array([1.0, 0.0]), cfg).samples
+    assert samples.tolist() == [0] * 500
 
 
 def test_boltzmann_weights_recovered():
@@ -206,7 +204,7 @@ def test_boltzmann_weights_recovered():
     )
     target = mu / z
     cfg = ChainConfig(10 ** 5, seed=105, proposal="uniform", burn_in=1000)
-    samples = metropolis_sample(ratio_from_weights(mu), 8, cfg)
+    samples = run_chain(mu, cfg).samples
     freq = frequencies(samples, 8)
     n = len(samples)
     for x in range(8):
@@ -219,24 +217,17 @@ def test_boltzmann_weights_recovered():
 
 
 def test_all_zero_target_detected():
-    ratio = lambda x, y: float("nan")
     cfg = ChainConfig(100, seed=3, proposal="uniform", burn_in=0)
     with pytest.raises(SamplerError):
-        run_chain(ratio, 4, cfg)
-
-
-def test_negative_ratio_rejected():
-    cfg = ChainConfig(100, seed=3, proposal="uniform", burn_in=0)
-    with pytest.raises(DomainError):
-        run_chain(lambda x, y: -1.0, 4, cfg)
+        run_chain(np.zeros(4), cfg)
 
 
 def test_fixed_seed_determinism():
     mu = np.array([1.0, 2.0, 3.0, 4.0])
     cfg = ChainConfig(300, seed=11, burn_in=20)
-    first = run_chain(ratio_from_weights(mu), 4, cfg)
-    again = run_chain(ratio_from_weights(mu), 4, cfg)
-    assert first.samples == again.samples
+    first = run_chain(mu, cfg)
+    again = run_chain(mu, cfg)
+    assert np.array_equal(first.samples, again.samples)
     assert first.n_accepted == again.n_accepted
 
 
@@ -244,14 +235,14 @@ def test_scale_invariance_of_trajectories():
     # mu -> c*mu leaves every ratio unchanged, so the walk is identical.
     mu = np.array([0.2, 1.7, 0.9, 2.4])
     cfg = ChainConfig(400, seed=13, burn_in=10)
-    base = run_chain(ratio_from_weights(mu), 4, cfg)
-    scaled = run_chain(ratio_from_weights(173.0 * mu), 4, cfg)
-    assert base.samples == scaled.samples
+    base = run_chain(mu, cfg)
+    scaled = run_chain(173.0 * mu, cfg)
+    assert np.array_equal(base.samples, scaled.samples)
 
 
 def test_run_chain_respects_schedule():
     cfg = ChainConfig(25, seed=17, burn_in=7, thinning=3)
-    run = run_chain(ratio_from_weights(np.ones(4)), 4, cfg)
+    run = run_chain(np.ones(4), cfg)
     assert len(run.samples) == 25
     assert run.n_proposed == 7 + 25 * 3
 
@@ -259,15 +250,7 @@ def test_run_chain_respects_schedule():
 def test_bit_flip_needs_power_of_two():
     cfg = ChainConfig(10, seed=1, proposal="single-bit-flip")
     with pytest.raises(DomainError):
-        run_chain(ratio_from_weights(np.ones(3)), 3, cfg)
-
-
-def test_ratio_from_weights_values():
-    ratio = ratio_from_weights(np.array([2.0, 1.0, 0.0]))
-    assert ratio(0, 1) == pytest.approx(0.5)
-    assert ratio(1, 0) == pytest.approx(2.0)
-    assert ratio(2, 0) == np.inf
-    assert np.isnan(ratio(2, 2))
+        run_chain(np.ones(3), cfg)
 
 
 # ------------------------------------------------------------- Szegedy walk
@@ -400,11 +383,11 @@ def reference_run_chain(ratio, dim: int, config: ChainConfig):
         raise SamplerError(
             "target measure looks identically zero: every ratio was undefined"
         )
-    return ChainRun(samples, n_proposed, n_accepted)
+    return ChainRun(np.array(samples, np.intp), n_proposed, n_accepted)
 
 
-def reference_ratio_from_weights(mu):
-    """The numpy-division closure the plain-list ratio oracle replaced."""
+def reference_ratio(mu):
+    """mu(y)/mu(x) by numpy division: y/0 is inf and 0/0 is nan."""
     mu = np.asarray(mu, dtype=float)
 
     def ratio(x, y):
@@ -414,12 +397,18 @@ def reference_ratio_from_weights(mu):
     return ratio
 
 
-def outcome(kernel, ratio, dim, config):
+def outcome(kernel, *args):
+    """An exception's type and message, or counters, sample dtype and
+    samples."""
     try:
-        run = kernel(ratio, dim, config)
+        run = kernel(*args)
     except (SamplerError, DomainError) as exc:
         return type(exc), str(exc)
-    return run.n_proposed, run.n_accepted, run.samples
+    return run.n_proposed, run.n_accepted, run.samples.dtype, run.samples.tolist()
+
+
+def reference_outcome(weights, config):
+    return outcome(reference_run_chain, reference_ratio(weights), len(weights), config)
 
 
 PROPOSAL_DIMS = [("uniform", d) for d in (2, 3, 6, 8, 16, 64)] + [
@@ -430,72 +419,51 @@ SCHEDULES = [(300, 0, 1, 0), (250, 7, 3, 2 ** 64 - 1), (3200, 1000, 1, 987654321
 
 
 def weight_cases(dim, rng):
-    """(name, blocked-kernel ratio, reference ratio) triples."""
+    """(name, weights) pairs."""
     positive = rng.uniform(0.05, 1.0, size=dim) ** 3
     zeros = positive.copy()
     zeros[0] = 0.0  # the start state: inf ratios out of it
     zeros[rng.permutation(dim)[: dim // 3]] = 0.0  # and nan between zeros
-    plain = lambda x, y: (y % 5 + 1) / (x % 5 + 1)
     return [
-        ("positive", ratio_from_weights(positive), reference_ratio_from_weights(positive)),
-        ("zeros", ratio_from_weights(zeros), reference_ratio_from_weights(zeros)),
-        ("lambda", plain, plain),
+        ("positive", positive),
+        ("zeros", zeros),
+        ("mod-5", np.arange(dim) % 5 + 1.0),
     ]
 
 
 @pytest.mark.parametrize("proposal, dim", PROPOSAL_DIMS)
 def test_blocked_kernel_reproduces_per_step_trajectories(proposal, dim):
     rng = np.random.default_rng(1300 + dim)
-    for name, ratio, reference in weight_cases(dim, rng):
+    for name, weights in weight_cases(dim, rng):
         for n_steps, burn_in, thinning, seed in SCHEDULES:
             cfg = ChainConfig(n_steps, seed, proposal, burn_in, thinning)
-            got = outcome(run_chain, ratio, dim, cfg)
-            want = outcome(reference_run_chain, reference, dim, cfg)
-            assert got == want, (name, cfg)
-            assert isinstance(got[2], list), (name, cfg)
+            got = outcome(run_chain, weights, cfg)
+            assert got == reference_outcome(weights, cfg), (name, cfg)
+            assert got[2] == np.intp, (name, cfg)
 
 
 ERROR_CASES = {
     # total steps below the nan budget: the end-of-run check trips
-    "all-nan-short": (lambda x, y: float("nan"), 4, ChainConfig(10, 3, "uniform", 0)),
+    "all-nan-short": (np.zeros(4), ChainConfig(10, 3, "uniform", 0)),
     # the streak budget trips mid-run
-    "all-nan-long": (lambda x, y: np.nan, 4, ChainConfig(500, 3, "uniform", 0)),
-    "all-zero-weights": (ratio_from_weights(np.zeros(8)), 8, ChainConfig(200, 5)),
-    "negative-ratio": (
-        lambda x, y: -1.0 if y == 3 else 1.0, 4, ChainConfig(100, 3, "uniform", 0),
-    ),
-    "negative-after-burn-in": (
-        lambda x, y: -2.0 if (x, y) == (6, 7) else 1.0, 8, ChainConfig(5000, 9, burn_in=10),
-    ),
+    "all-nan-long": (np.zeros(4), ChainConfig(500, 3, "uniform", 0)),
+    "all-zero-weights": (np.zeros(8), ChainConfig(200, 5)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_blocked_kernel_raises_like_per_step(case):
-    ratio, dim, cfg = ERROR_CASES[case]
-    got = outcome(run_chain, ratio, dim, cfg)
-    assert got == outcome(reference_run_chain, ratio, dim, cfg)
-    assert got[0] in (SamplerError, DomainError)
-
-
-@pytest.mark.parametrize("proposal", ["uniform", "single-bit-flip"])
-@pytest.mark.parametrize("n_weights, dim", [(4, 8), (4, 2)])
-def test_weight_count_must_match_dim(proposal, n_weights, dim, monkeypatch):
-    # Too few weights used to end in an IndexError, too many in a chain over
-    # the first dim of them. Both are refused before anything is drawn.
-    def refuse(*args):
-        raise AssertionError("drew for a chain with the wrong weight count")
-
-    monkeypatch.setattr(sampler, "_DrawStream", refuse)
-    cfg = ChainConfig(100, seed=1, proposal=proposal)
-    with pytest.raises(DomainError, match=f"{n_weights} weights for a chain over {dim}"):
-        run_chain(ratio_from_weights(np.ones(n_weights)), dim, cfg)
+    weights, cfg = ERROR_CASES[case]
+    got = outcome(run_chain, weights, cfg)
+    assert got == reference_outcome(weights, cfg)
+    assert got[0] is SamplerError
 
 
 def test_ratio_from_weights_needs_a_nonempty_vector():
+    # run_chain's weight check, before anything is drawn.
     for bad in (np.ones((2, 2)), np.array([]), 1.0):
-        with pytest.raises(DomainError):
-            ratio_from_weights(bad)
+        with pytest.raises(DomainError, match="nonempty vector"):
+            run_chain(bad, ChainConfig(10, seed=1, proposal="uniform"))
 
 
 if st is not None:
@@ -507,7 +475,7 @@ if st is not None:
 
     @st.composite
     def weight_chains(draw):
-        """(weights, dim, config): zeros at the start state, all-zero targets,
+        """(weights, config): zeros at the start state, all-zero targets,
         burn-in off the block grid and thinning above a block."""
         proposal = draw(st.sampled_from(["uniform", "single-bit-flip"]))
         if proposal == "uniform":
@@ -524,23 +492,23 @@ if st is not None:
         n_steps = draw(st.integers(1, 1500 if thinning < BLOCK_STEPS else 2))
         burn_in = draw(st.integers(0, 5000))
         seed = draw(st.integers(0, 2 ** 64 - 1))
-        return weights, dim, ChainConfig(n_steps, seed, proposal, burn_in, thinning)
+        return weights, ChainConfig(n_steps, seed, proposal, burn_in, thinning)
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(weight_chains())
     # all-zero targets: the nan budget (100 + 10 * dim) trips in the second
     # block of a long run, and a short run ends on the end-of-run check
-    @example(([0.0] * 512, 512, ChainConfig(3000, 7, "uniform", 3000)))
-    @example(([0.0] * 64, 64, ChainConfig(200, 8, "single-bit-flip", 0)))
+    @example(([0.0] * 512, ChainConfig(3000, 7, "uniform", 3000)))
+    @example(([0.0] * 64, ChainConfig(200, 8, "single-bit-flip", 0)))
     # zero start whose one positive weight is a neighbour: nan steps, one
     # move, then ratios of 0 into the zero weights around it
-    @example(([0.0] * 16 + [1e-310] + [0.0] * 15, 32, ChainConfig(500, 9, "single-bit-flip", 4095, 2)))
-    @example(([1.7976931348623157e308, 5e-324, 0.0, 1.0], 4, ChainConfig(2, 3, "uniform", 4097, 4097)))
+    @example(([0.0] * 16 + [1e-310] + [0.0] * 15, ChainConfig(500, 9, "single-bit-flip", 4095, 2)))
+    @example(([1.7976931348623157e308, 5e-324, 0.0, 1.0], ChainConfig(2, 3, "uniform", 4097, 4097)))
     def test_weight_walk_matches_the_oracle_walk(case):
-        weights, dim, cfg = case
-        got = outcome(run_chain, ratio_from_weights(weights), dim, cfg)
+        weights, cfg = case
+        got = outcome(run_chain, weights, cfg)
         with np.errstate(over="ignore", under="ignore"):
-            want = outcome(reference_run_chain, reference_ratio_from_weights(weights), dim, cfg)
+            want = reference_outcome(weights, cfg)
         assert got == want
 
 
@@ -613,9 +581,10 @@ def test_draw_stream_without_draws_for_one_choice():
 
 
 def test_ratio_from_weights_rejects_non_finite():
+    # run_chain's weight check: no weight may be nan, infinite or negative.
     for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -1.0]):
-        with pytest.raises(DomainError):
-            ratio_from_weights(np.array(bad))
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            run_chain(np.array(bad), ChainConfig(10, seed=1, proposal="uniform"))
 
 
 def test_chain_config_caps_total_steps():
@@ -629,7 +598,7 @@ def test_chain_config_caps_total_steps():
 
 def test_bit_flip_needs_two_states():
     with pytest.raises(DomainError):
-        run_chain(ratio_from_weights(np.ones(1)), 1, ChainConfig(10, seed=1))
+        run_chain(np.ones(1), ChainConfig(10, seed=1))
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qest import circuit, numerics, sampler, scenarios
+from qest import circuit, numerics, scenarios
 from qest.circuit import MAX_STATE_DIM, leakage_amplitude, run_tomography_circuit
 from qest.estimation import ancilla_zero_probability
 from qest.numerics import (
@@ -274,30 +274,6 @@ def test_mean_diagnostics_present():
     report = run_scenario_mean(spec_b_fixture(n_sam=2000, seed=5))
     for key in ("acceptance_rate", "visitation_coverage", "delta"):
         assert key in report.diagnostics
-
-
-@pytest.mark.parametrize("proposal", ["uniform", "single-bit-flip"])
-def test_scenarios_read_weights_without_calling_the_oracle(proposal, monkeypatch):
-    # run_chain reads a weight oracle's list instead of calling it, so the
-    # reports do not change when calling it fails.
-    rng = np.random.default_rng(1711)
-    h = random_hermitian(rng, 8)
-    mean_spec = spec_b_fixture(
-        n_sam=3000, seed=3, hamiltonian=h,
-        observable=eigendecompose(random_hermitian(rng, 8)), proposal=proposal,
-    )
-    g = FunctionSpec.weighted_exponential((1.0, -0.5), 0.0)
-    partition_spec = spec_c_fixture(g=g, n_sam=3000, seed=4, hamiltonian=h, proposal=proposal)
-    want = [run_scenario_mean(mean_spec, mode) for mode in MODES]
-    want += [estimate_partition(partition_spec, mode) for mode in MODES]
-
-    def refuse(self, x, y):
-        raise AssertionError("the weight oracle was called")
-
-    monkeypatch.setattr(sampler._WeightRatio, "__call__", refuse)
-    got = [run_scenario_mean(mean_spec, mode) for mode in MODES]
-    got += [estimate_partition(partition_spec, mode) for mode in MODES]
-    assert got == want
 
 
 def test_mean_rejects_kind_c():
