@@ -253,6 +253,8 @@ def cmd_diag(args) -> int:
         check_register_size(n_probe, a.dim)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    if not 0 <= x0 < a.dim:
+        raise ConfigError(f"x0 must be in 0 .. {a.dim - 1}, got {x0}")
     if not 1 <= n_sam <= MAX_CHAIN_STEPS:
         raise ConfigError(
             f"n_sam must be in 1 .. {MAX_CHAIN_STEPS} (the shot cap), got {n_sam}"

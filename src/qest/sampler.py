@@ -45,6 +45,9 @@ BLOCK_STEPS = 4096
 
 _LOW32 = 0xFFFFFFFF
 
+# The smallest positive float: no positive weight is below it.
+_SMALLEST_FLOAT = 5e-324
+
 
 class SamplerError(RuntimeError):
     """The chain could not produce samples (for example an all-zero target)."""
@@ -255,9 +258,10 @@ def run_chain(weights, config: ChainConfig) -> ChainRun:
     weights holds mu(x), finite and nonnegative; only the ratios
     mu(y)/mu(x) enter, so any overall scale is irrelevant. The chain starts
     at state 0, runs burn_in transitions, then records every thinning-th
-    state until n_steps samples exist, as an np.intp index array. A start
-    from which only undefined ratios (0/0) are seen within the retry budget
-    means the target is identically zero.
+    state until n_steps samples exist, as an np.intp index array. It raises
+    SamplerError before the first draw if no weight is positive or some
+    positive weight is out of the chain's reach from state 0, and after a run
+    that never left a zero-weight start.
 
     Each step draws rng.integers(0, n) for the proposal (n = dim, or the bit
     count for single-bit-flip) and then rng.random() for the acceptance test,
@@ -272,8 +276,13 @@ def run_chain(weights, config: ChainConfig) -> ChainRun:
     dim = w.size
     if dim > 2 ** 32:  # the decoder follows numpy's 32-bit draw path
         raise DomainError(f"dimension must be in 1 .. 2**32, got {dim}")
-    walk = _WeightWalk(w.tolist(), config.proposal == "single-bit-flip", 100 + 10 * dim)
-    draws = _DrawStream(np.random.default_rng(config.seed), walk.n_bits or dim)
+    n_bits = _bit_count(dim) if config.proposal == "single-bit-flip" else 0
+    if not w.any():
+        raise SamplerError("target measure is identically zero: no weight is positive")
+    if n_bits and not w.all():  # a uniform proposal joins every pair of states
+        _check_flip_reach(w > 0, n_bits)
+    walk = _WeightWalk(w.tolist(), n_bits)
+    draws = _DrawStream(np.random.default_rng(config.seed), n_bits or dim)
 
     samples = np.empty(config.n_steps, np.intp)
     filled = 0
@@ -285,85 +294,66 @@ def run_chain(weights, config: ChainConfig) -> ChainRun:
         samples[filled:filled + len(kept)] = kept
         filled += len(kept)
         record += len(kept) * config.thinning
-    if not walk.n_accepted and walk.nan_streak == total:
-        # Short runs can end before the streak budget trips.
-        raise _zero_target_error()
+    if not walk.n_accepted and not w[0]:
+        raise SamplerError(f"no move out of the zero-weight state 0 in {total} steps")
     return ChainRun(samples, total, walk.n_accepted)
 
 
-def _zero_target_error(nan_streak: int | None = None) -> SamplerError:
-    """The error of a chain that only saw undefined ratios: mid-run once the
-    streak passes its budget, or at the end of a run shorter than that."""
-    if nan_streak is None:
-        return SamplerError(
-            "target measure looks identically zero: every ratio was undefined"
+def _check_flip_reach(positive: np.ndarray, n_bits: int) -> None:
+    """Raise SamplerError unless a single-bit-flip chain from state 0 can
+    reach every positive weight. A move into a zero weight is refused and any
+    other may be taken, so search breadth first over the bit flips onto
+    positive weights."""
+    reached = ~positive  # zero weights count as seen: never entered
+    reached[0] = True
+    frontier = np.zeros(1, np.intp)
+    while frontier.size:
+        near = np.unique(frontier[:, None] ^ (1 << np.arange(n_bits)))
+        frontier = near[~reached[near]]
+        reached[frontier] = True
+    stranded = positive.size - np.count_nonzero(reached)
+    if stranded:
+        raise SamplerError(
+            f"the chain cannot reach {stranded} of the {np.count_nonzero(positive)} "
+            "positive-weight states from state 0"
         )
-    return SamplerError(
-        "target measure looks identically zero: no move "
-        f"accepted after {nan_streak} undefined ratios"
-    )
 
 
 class _WeightWalk:
     """Metropolis steps over a weight list, the ratio w[y] / w[x] read inline.
 
-    nan_streak counts the undefined ratios (0/0) seen before the first
-    acceptance; past nan_budget the target counts as identically zero.
     Weights are finite and nonnegative, so no ratio is negative, and a ratio
     out of a positive weight is never nan. A move into a zero weight is then
     refused (u < 0 fails), so a zero-weight state is occupied only at the
-    start, before the first acceptance: only there can nan ratios occur, and
-    from there every move into a positive weight has ratio inf and is taken.
+    start, before the first acceptance. Ratios out of it divide by
+    _SMALLEST_FLOAT instead of 0: a positive weight then gives a ratio of at
+    least 1 and is taken, as inf is, and a zero weight gives 0 and is
+    refused, as the undefined 0/0 is.
 
     For single-bit-flip, state x's ratios w[x ^ 2^b] / w[x] over the n_bits
     bits b are computed once, when x is first occupied.
     """
 
-    __slots__ = ("w", "n_bits", "rows", "nan_budget", "x", "n_accepted", "nan_streak")
+    __slots__ = ("w", "n_bits", "rows", "x", "n_accepted")
 
-    def __init__(self, weights: list, flip: bool, nan_budget: int):
-        self.w, self.nan_budget = weights, nan_budget
-        self.n_bits = _bit_count(len(weights)) if flip else 0  # 0: uniform
-        self.rows = [None] * len(weights) if flip else None
-        self.x = self.n_accepted = self.nan_streak = 0
+    def __init__(self, weights: list, n_bits: int):
+        self.w, self.n_bits = weights, n_bits  # n_bits 0: uniform
+        self.rows = [None] * len(weights) if n_bits else None
+        self.x = self.n_accepted = 0
 
     def advance(self, props: np.ndarray, uniform: np.ndarray) -> list:
         """Take one step per draw; the state after each step, in order."""
         props, uniform = props.tolist(), uniform.tolist()
         states = []
-        if not self.w[self.x]:
-            taken = self._leave_zero_start(props, states)
-            if taken == len(props):  # still at the start, or left on the last draw
-                return states
-            props, uniform = props[taken:], uniform[taken:]
         if self.n_bits:
             self._flip_steps(props, uniform, states)
         else:
             self._uniform_steps(props, uniform, states)
         return states
 
-    def _leave_zero_start(self, props: list, states: list) -> int:
-        """Steps from the zero-weight start state 0 up to and including its
-        first move; returns how many draws they took."""
-        w, n_bits = self.w, self.n_bits
-        for i, y in enumerate(props):
-            if n_bits:
-                y = 1 << y  # 0 ^ 2^b
-            if w[y]:  # ratio inf: taken whatever the uniform
-                states += [0] * i
-                states.append(y)
-                self.x = y
-                self.n_accepted = 1
-                return i + 1
-            self.nan_streak += 1
-            if self.nan_streak > self.nan_budget:
-                raise _zero_target_error(self.nan_streak)
-        states += [0] * len(props)
-        return len(props)
-
     def _uniform_steps(self, props: list, uniform: list, states: list) -> None:
         w, x, n_accepted = self.w, self.x, self.n_accepted
-        wx = w[x]
+        wx = w[x] or _SMALLEST_FLOAT
         append = states.append
         for y, u in zip(props, uniform):
             if u < w[y] / wx:  # u < min(1, r), as u < 1; y == x counts as accepted
@@ -387,7 +377,7 @@ class _WeightWalk:
 
     def _row(self, x: int) -> list:
         w = self.w
-        wx = w[x]
+        wx = w[x] or _SMALLEST_FLOAT
         row = self.rows[x] = [w[x ^ (1 << b)] / wx for b in range(self.n_bits)]
         return row
 

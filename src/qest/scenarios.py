@@ -93,7 +93,8 @@ class ScenarioSpec:
         else:
             if self.hamiltonian is None or self.g is None:
                 raise DomainError("kind C needs a Hamiltonian and a weight g")
-            _weight_coeffs(self.g)
+            if not any(_weight_coeffs(self.g)):
+                raise DomainError("weight g has no nonzero coefficient")
         if self.kind in ("B", "C"):
             if not np.isfinite(self.beta) or self.beta < 0:
                 raise DomainError(f"beta must be finite and >= 0, got {self.beta}")
@@ -238,7 +239,9 @@ def mu_table(spec: ScenarioSpec, mode: str = "exact-mu") -> np.ndarray:
     f(lambda_k) in exact mode and, in circuit mode, the circuit's
     ancilla-zero probability for eigencomponent k over gamma. Circuit mode
     equals the statevector route (run_tomography_circuit, then
-    ancilla_zero_probability / gamma) without simulating it.
+    ancilla_zero_probability / gamma) without simulating it. The product is
+    clipped at 0: a density's rounding-negative eigenvalues (kind A) would
+    otherwise leave weights of about -1e-17.
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
@@ -249,7 +252,7 @@ def mu_table(spec: ScenarioSpec, mode: str = "exact-mu") -> np.ndarray:
     else:
         mass = probe_mass(target.a.spectrum.eigenvalues, target.circuit)
         r = eigencomponent_zero_probability(mass, target.circuit) / target.circuit.gamma
-    return overlaps.T @ r
+    return np.maximum(overlaps.T @ r, 0.0)
 
 
 def _overlaps(a: HermitianOperator, v: UnitaryOperator, x0: int | None = None):
@@ -377,13 +380,17 @@ def signed_partition(
 
     The positive and negative parts get independent runs (the negative part
     reuses the seed shifted by one); errors add in quadrature. A vanishing
-    negative part reduces to the plain estimator.
+    part reduces to the plain estimator of the other: Z_g is the estimate of
+    the positive part, or minus that of the negative part.
     """
+    minus_seed = (spec.seed + 1) % 2 ** 64
+    if not any(g_plus.g_coeffs):
+        minus = run_scenario_partition(replace(spec, g=g_minus, seed=minus_seed), mode)
+        return replace(minus, point_estimate=-minus.point_estimate)
     plus = run_scenario_partition(replace(spec, g=g_plus), mode)
-    if all(c == 0 for c in g_minus.g_coeffs):
+    if not any(g_minus.g_coeffs):
         return plus
-    minus_spec = replace(spec, g=g_minus, seed=(spec.seed + 1) % 2 ** 64)
-    minus = run_scenario_partition(minus_spec, mode)
+    minus = run_scenario_partition(replace(spec, g=g_minus, seed=minus_seed), mode)
     return EstimateReport(
         plus.point_estimate - minus.point_estimate,
         float(np.hypot(plus.standard_error, minus.standard_error)),

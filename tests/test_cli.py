@@ -126,6 +126,15 @@ def test_diag_bad_step_or_scale_is_one_line_domain_error(key, value, tmp_path, c
     assert err == f"domain error: {key} must be 'auto' or a positive number\n"
 
 
+@pytest.mark.parametrize("x0", [2, -1])
+def test_diag_x0_out_of_range_is_config_error(x0, tmp_path, capsys):
+    # x0 is a config key; it used to reach the mu table and exit 3.
+    code, out, err = run_cli(["diag", "--config", diag_config(tmp_path, x0=x0)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: x0 must be in 0 .. 1, got {x0}\n"
+
+
 def test_diag_simulates_no_circuit(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("diag simulated the circuit")
@@ -321,6 +330,26 @@ def test_partition_signed_weight(tmp_path, capsys):
     assert report["z_g"]["point_estimate"] == pytest.approx(-1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("g, z_g", [([-1.0], -1.5), ([0.0, -1.0], -0.5)])
+def test_partition_weight_without_positive_coefficient(g, z_g, tmp_path, capsys):
+    # The positive part of g vanishes: Z_g is minus the negative part's
+    # estimate. Its all-zero chain used to exit 3 ("f vanishes").
+    path = partition_config(tmp_path, g=g)
+    code, out, _ = run_cli(["partition", "--config", path], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["oracle"]["z_g"] == pytest.approx(z_g, abs=1e-12)
+    se = report["z_g"]["standard_error"]
+    assert abs(report["z_g"]["point_estimate"] - z_g) <= max(5 * se, 1e-10)
+
+
+def test_partition_all_zero_weight_is_config_error(tmp_path, capsys):
+    code, out, err = run_cli(["partition", "--config", partition_config(tmp_path, g=[0.0])], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "config error: weight g has no nonzero coefficient\n"
+
+
 def test_partition_rejects_kind_b_config(tmp_path, capsys):
     code, _, _ = run_cli(
         ["partition", "--config", mean_config(tmp_path)], capsys
@@ -339,6 +368,42 @@ def test_partition_all_zero_target_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["partition", "--config", path], capsys)
     assert code == 4
     assert "sampler" in err
+
+
+def split_support_config(tmp_path, proposal):
+    """Kind A with rho = diag(1/2, 0, 0, 1/2) and Omega = diag(1, 2, 3, 4):
+    mu = (1/2, 0, 0, 1/2), whose two positive states are two bit flips
+    apart across zero weights."""
+    return write_json(tmp_path / f"split_{proposal}.json", {
+        "kind": "A",
+        "rho": matrix_to_json(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)),
+        "observable": matrix_to_json(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)),
+        "n_sam": 20000,
+        "proposal": proposal,
+    })
+
+
+def test_mean_split_support_is_a_sampler_error_under_bit_flips(tmp_path, capsys):
+    # The chain cannot leave state 0; it used to report 1.0 +- 0.0 against
+    # the exact 2.5.
+    path = split_support_config(tmp_path, "single-bit-flip")
+    code, out, err = run_cli(["mean", "--config", path], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "sampler error: the chain cannot reach 1 of the 2 positive-weight "
+        "states from state 0\n"
+    )
+
+
+def test_mean_split_support_under_uniform_proposals(tmp_path, capsys):
+    path = split_support_config(tmp_path, "uniform")
+    code, out, _ = run_cli(["mean", "--config", path], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["oracle"]["exact_value"] == pytest.approx(2.5, abs=1e-12)
+    point, se = report["report"]["point_estimate"], report["report"]["standard_error"]
+    assert abs(point - 2.5) <= 5 * se
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Metropolis sampling, chain spectra, and the walk-operator gap relation."""
 
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -345,9 +346,6 @@ def reference_run_chain(ratio, dim: int, config: ChainConfig):
     samples = []
     n_proposed = 0
     n_accepted = 0
-    ever_accepted = False
-    nan_streak = 0
-    nan_budget = 100 + 10 * dim
     total = config.burn_in + config.n_steps * config.thinning
     for step in range(total):
         if config.proposal == "uniform":
@@ -357,13 +355,6 @@ def reference_run_chain(ratio, dim: int, config: ChainConfig):
         r = float(ratio(x, y))
         n_proposed += 1
         if np.isnan(r):
-            if not ever_accepted:
-                nan_streak += 1
-                if nan_streak > nan_budget:
-                    raise SamplerError(
-                        "target measure looks identically zero: no move "
-                        f"accepted after {nan_streak} undefined ratios"
-                    )
             accept = False
             rng.random()  # keep the draw stream aligned with accepted paths
         else:
@@ -373,17 +364,46 @@ def reference_run_chain(ratio, dim: int, config: ChainConfig):
         if accept:
             x = y
             n_accepted += 1
-            ever_accepted = True
         if step >= config.burn_in and (step - config.burn_in) % config.thinning == (
             config.thinning - 1
         ):
             samples.append(x)
-    if not ever_accepted and nan_streak == n_proposed:
-        # Short runs can end before the streak budget trips.
-        raise SamplerError(
-            "target measure looks identically zero: every ratio was undefined"
-        )
+    if not n_accepted and np.isnan(ratio(0, 0)):  # 0/0: the start has weight 0
+        raise SamplerError(f"no move out of the zero-weight state 0 in {total} steps")
     return ChainRun(np.array(samples, np.intp), n_proposed, n_accepted)
+
+
+def reference_stranded(weights, proposal: str):
+    """The error of a target whose positive weights the chain cannot all
+    reach from state 0, or None; a plain breadth-first search.
+
+    Moves into zero weights are refused and every other move can be taken,
+    so the chain reaches state 0 and the positive states joined to it
+    through positive states by single proposals.
+    """
+    positive = {x for x, wx in enumerate(weights) if wx > 0}
+    if not positive:
+        return "target measure is identically zero: no weight is positive"
+    dim = len(weights)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        if proposal == "uniform":
+            near = range(dim)
+        else:
+            near = [x ^ (1 << b) for b in range(dim.bit_length() - 1)]
+        for y in near:
+            if y in positive and y not in seen:
+                seen.add(y)
+                queue.append(y)
+    stranded = len(positive - seen)
+    if stranded:
+        return (
+            f"the chain cannot reach {stranded} of the {len(positive)} "
+            "positive-weight states from state 0"
+        )
+    return None
 
 
 def reference_ratio(mu):
@@ -408,6 +428,9 @@ def outcome(kernel, *args):
 
 
 def reference_outcome(weights, config):
+    stranded = reference_stranded(weights, config.proposal)
+    if stranded is not None:
+        return SamplerError, stranded
     return outcome(reference_run_chain, reference_ratio(weights), len(weights), config)
 
 
@@ -443,11 +466,17 @@ def test_blocked_kernel_reproduces_per_step_trajectories(proposal, dim):
 
 
 ERROR_CASES = {
-    # total steps below the nan budget: the end-of-run check trips
+    # all-zero weights, every ratio 0/0: refused before the first draw,
+    # whatever the run length
     "all-nan-short": (np.zeros(4), ChainConfig(10, 3, "uniform", 0)),
-    # the streak budget trips mid-run
     "all-nan-long": (np.zeros(4), ChainConfig(500, 3, "uniform", 0)),
     "all-zero-weights": (np.zeros(8), ChainConfig(200, 5)),
+    # the one positive weight is two bit flips away, across zero weights
+    "flip-two-flips-away": (np.array([0.0, 0.0, 0.0, 1.0]), ChainConfig(200, 5, burn_in=0)),
+    # state 0 has weight and moves nowhere: its neighbours 1 and 2 are zero
+    "flip-split-support": (np.array([0.5, 0.0, 0.0, 0.5]), ChainConfig(200, 5)),
+    # reachable, but no uniform proposal hits state 1023 in 5 steps
+    "uniform-late-positive": (np.eye(1024)[1023], ChainConfig(5, 3, "uniform", 0)),
 }
 
 
@@ -457,6 +486,22 @@ def test_blocked_kernel_raises_like_per_step(case):
     got = outcome(run_chain, weights, cfg)
     assert got == reference_outcome(weights, cfg)
     assert got[0] is SamplerError
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16, 64])
+def test_stranded_targets_match_the_breadth_first_search(dim):
+    # Sparse supports under single-bit-flip: the kernel refuses exactly the
+    # targets the plain search strands, and otherwise walks like the oracle.
+    rng = np.random.default_rng(1400 + dim)
+    stranded = 0
+    for density in (0.2, 0.5, 0.8):
+        for seed in range(20):
+            weights = rng.uniform(0.1, 1.0, dim) * (rng.random(dim) < density)
+            cfg = ChainConfig(40, seed, "single-bit-flip", burn_in=0)
+            got = outcome(run_chain, weights, cfg)
+            assert got == reference_outcome(weights, cfg), (weights, cfg)
+            stranded += reference_stranded(weights, "single-bit-flip") is not None
+    assert 0 < stranded < 60
 
 
 def test_ratio_from_weights_needs_a_nonempty_vector():
@@ -496,14 +541,18 @@ if st is not None:
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(weight_chains())
-    # all-zero targets: the nan budget (100 + 10 * dim) trips in the second
-    # block of a long run, and a short run ends on the end-of-run check
+    # all-zero targets, refused before the first draw: a run longer than a
+    # block, and a single-bit-flip one
     @example(([0.0] * 512, ChainConfig(3000, 7, "uniform", 3000)))
     @example(([0.0] * 64, ChainConfig(200, 8, "single-bit-flip", 0)))
     # zero start whose one positive weight is a neighbour: nan steps, one
     # move, then ratios of 0 into the zero weights around it
     @example(([0.0] * 16 + [1e-310] + [0.0] * 15, ChainConfig(500, 9, "single-bit-flip", 4095, 2)))
     @example(([1.7976931348623157e308, 5e-324, 0.0, 1.0], ChainConfig(2, 3, "uniform", 4097, 4097)))
+    # zero start whose one positive weight is the smallest float: its ratio
+    # out of the start is inf, so the first proposal of it is taken
+    @example(([0.0, 5e-324], ChainConfig(50, 1, "single-bit-flip", 0)))
+    @example(([0.0, 0.0, 5e-324], ChainConfig(50, 2, "uniform", 0)))
     def test_weight_walk_matches_the_oracle_walk(case):
         weights, cfg = case
         got = outcome(run_chain, weights, cfg)

@@ -40,6 +40,7 @@ from qest.scenarios import (
     split_signed_coeffs,
     trace_ratio,
 )
+from qest.sampler import SamplerError
 from qest.synth import random_density, random_hermitian, random_unitary
 
 LN2 = float(np.log(2.0))
@@ -506,10 +507,46 @@ def test_circuit_mu_table_keeps_exact_zero_on_grid(n_probe):
     np.testing.assert_allclose(table, mu_table(spec, "exact-mu"), atol=1e-12)
 
 
-def test_mu_of_x_reads_the_table():
+def test_mu_table_rejects_an_unknown_mode():
     spec = _table_spec("B", 4, 3, seed=7)
     with pytest.raises(DomainError, match="mode"):
         mu_table(spec, "bogus")
+
+
+def pure_state_spec(seed, proposal):
+    """Kind A at N_S = 4: Omega = U diag(1, 2, 3, 4) U^dag and the pure
+    rho = |u_3><u_3|, whose zero eigenvalues come out of eigh at about
+    +-1e-17."""
+    u = random_unitary(np.random.default_rng(seed), 4).entries
+    omega = HermitianOperator(u @ np.diag([1.0, 2.0, 3.0, 4.0]) @ u.conj().T)
+    rho = HermitianOperator(np.outer(u[:, 3], u[:, 3].conj()))
+    return ScenarioSpec(
+        kind="A", n_sam=2000, seed=seed, proposal=proposal,
+        observable=omega.spectrum, rho=rho,
+    )
+
+
+@pytest.mark.parametrize("proposal", ["uniform", "single-bit-flip"])
+def test_pure_state_mean_is_exact_or_a_sampler_error(proposal):
+    # Rounding-negative eigenvalues of rho used to leave negative weights
+    # (exit 3); clipped, a bit-flip chain may be stranded, but never returns
+    # a wrong mean.
+    outcomes = []
+    for seed in range(40):
+        spec = pure_state_spec(seed, proposal)
+        assert mu_table(spec).min() >= 0.0
+        try:
+            report = run_scenario_mean(spec)
+        except SamplerError as exc:
+            assert "cannot reach" in str(exc)
+            outcomes.append("stranded")
+            continue
+        assert report.point_estimate == pytest.approx(4.0, abs=1e-12)
+        outcomes.append("exact")
+    if proposal == "uniform":
+        assert outcomes == ["exact"] * 40
+    else:
+        assert {"exact", "stranded"} <= set(outcomes)
 
 
 @pytest.fixture
