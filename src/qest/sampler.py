@@ -260,8 +260,9 @@ def run_chain(weights, config: ChainConfig) -> ChainRun:
     at state 0, runs burn_in transitions, then records every thinning-th
     state until n_steps samples exist, as an np.intp index array. It raises
     SamplerError before the first draw if no weight is positive or some
-    positive weight is out of the chain's reach from state 0, and after a run
-    that never left a zero-weight start.
+    positive weight is out of the chain's reach from state 0 (a zero-weight
+    start, once left, is never entered again), and after a run that never
+    left a zero-weight start.
 
     Each step draws rng.integers(0, n) for the proposal (n = dim, or the bit
     count for single-bit-flip) and then rng.random() for the acceptance test,
@@ -302,13 +303,16 @@ def run_chain(weights, config: ChainConfig) -> ChainRun:
 def _check_flip_reach(positive: np.ndarray, n_bits: int) -> None:
     """Raise SamplerError unless a single-bit-flip chain from state 0 can
     reach every positive weight. A move into a zero weight is refused and any
-    other may be taken, so search breadth first over the bit flips onto
-    positive weights."""
+    other may be taken, so the chain walks the flips between positive
+    weights; a zero-weight start is left once, for a positive neighbour, and
+    never entered again. Search breadth first from state 0 or, if its weight
+    is zero, from its first positive neighbour."""
+    flips = 1 << np.arange(n_bits)
+    frontier = np.zeros(1, np.intp) if positive[0] else flips[positive[flips]][:1]
     reached = ~positive  # zero weights count as seen: never entered
-    reached[0] = True
-    frontier = np.zeros(1, np.intp)
+    reached[frontier] = True
     while frontier.size:
-        near = np.unique(frontier[:, None] ^ (1 << np.arange(n_bits)))
+        near = np.unique(frontier[:, None] ^ flips)
         frontier = near[~reached[near]]
         reached[frontier] = True
     stranded = positive.size - np.count_nonzero(reached)

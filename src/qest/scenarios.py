@@ -452,7 +452,8 @@ def estimate_diagonal(
 ) -> dict:
     """<x0| V^dag f(A) V |x0> three ways, as a report block.
 
-    exact_mu and circuit_mu are mu_table's closed form at x0. The shots
+    exact_mu and circuit_mu are mu_table's closed form at x0, clipped at 0
+    as there, so diag and mean read the same element. The shots
     block draws the ancilla-zero count of n_sam measurements from its exact
     law, binomial at p0 = gamma * circuit_mu. leakage gives, per eigenvalue,
     its probe grid position and the probe_mass off its nearest slot.
@@ -462,12 +463,12 @@ def estimate_diagonal(
     if not 0 <= seed < 2 ** 64:
         raise DomainError("seed must fit in 64 bits")
     overlaps = _overlaps(a, v, x0)
-    exact_mu = float(np.sum(spectral_values(a, circuit.f) * overlaps))
+    exact_mu = max(float(np.sum(spectral_values(a, circuit.f) * overlaps)), 0.0)
     eigenvalues = a.spectrum.eigenvalues
     mass = probe_mass(eigenvalues, circuit)
     r = eigencomponent_zero_probability(mass, circuit) / circuit.gamma
-    circuit_mu = float(np.sum(r * overlaps))
-    p0 = min(max(circuit.gamma * circuit_mu, 0.0), 1.0)
+    circuit_mu = max(float(np.sum(r * overlaps)), 0.0)
+    p0 = min(circuit.gamma * circuit_mu, 1.0)
     freq = int(np.random.default_rng(seed).binomial(n_sam, p0)) / n_sam
     positions = eigenvalues * circuit.dt * circuit.n_slots / (2 * np.pi)
     nearest = [int(np.round(p)) % circuit.n_slots for p in positions]

@@ -370,23 +370,31 @@ def test_partition_all_zero_target_exit_code(tmp_path, capsys):
     assert "sampler" in err
 
 
-def split_support_config(tmp_path, proposal):
-    """Kind A with rho = diag(1/2, 0, 0, 1/2) and Omega = diag(1, 2, 3, 4):
-    mu = (1/2, 0, 0, 1/2), whose two positive states are two bit flips
-    apart across zero weights."""
+def split_support_config(tmp_path, proposal, rho_diagonal):
+    """Kind A with rho = diag(rho_diagonal) and Omega = diag(1, 2, 3, 4), so
+    mu = rho_diagonal."""
     return write_json(tmp_path / f"split_{proposal}.json", {
         "kind": "A",
-        "rho": matrix_to_json(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)),
+        "rho": matrix_to_json(np.diag(rho_diagonal).astype(complex)),
         "observable": matrix_to_json(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)),
         "n_sam": 20000,
         "proposal": proposal,
     })
 
 
-def test_mean_split_support_is_a_sampler_error_under_bit_flips(tmp_path, capsys):
-    # The chain cannot leave state 0; it used to report 1.0 +- 0.0 against
-    # the exact 2.5.
-    path = split_support_config(tmp_path, "single-bit-flip")
+# mu = (1/2, 0, 0, 1/2): the positive states are two bit flips apart
+# across zero weights, and the chain cannot leave state 0 (it used to
+# report 1.0 +- 0.0). mu = (0, 1/2, 1/2, 0): the chain leaves the
+# zero-weight state 0 for state 1 or 2 and stays there, as every exit from
+# either is a zero weight (it would report 2.0 or 3.0 +- 0.0).
+SPLIT_SUPPORTS = [[0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0]]
+
+
+@pytest.mark.parametrize("rho_diagonal", SPLIT_SUPPORTS)
+def test_mean_split_support_is_a_sampler_error_under_bit_flips(
+    rho_diagonal, tmp_path, capsys
+):
+    path = split_support_config(tmp_path, "single-bit-flip", rho_diagonal)
     code, out, err = run_cli(["mean", "--config", path], capsys)
     assert code == 4
     assert out == ""
@@ -396,8 +404,9 @@ def test_mean_split_support_is_a_sampler_error_under_bit_flips(tmp_path, capsys)
     )
 
 
-def test_mean_split_support_under_uniform_proposals(tmp_path, capsys):
-    path = split_support_config(tmp_path, "uniform")
+@pytest.mark.parametrize("rho_diagonal", SPLIT_SUPPORTS)
+def test_mean_split_support_under_uniform_proposals(rho_diagonal, tmp_path, capsys):
+    path = split_support_config(tmp_path, "uniform", rho_diagonal)
     code, out, _ = run_cli(["mean", "--config", path], capsys)
     assert code == 0
     report = json.loads(out)

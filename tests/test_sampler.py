@@ -378,22 +378,27 @@ def reference_stranded(weights, proposal: str):
     reach from state 0, or None; a plain breadth-first search.
 
     Moves into zero weights are refused and every other move can be taken,
-    so the chain reaches state 0 and the positive states joined to it
-    through positive states by single proposals.
+    so the chain reaches the positive states joined to its start through
+    positive states by single proposals. A zero-weight state 0 is left for
+    one positive neighbour and never entered again, so the search starts
+    there: the first positive proposal out of state 0.
     """
     positive = {x for x, wx in enumerate(weights) if wx > 0}
     if not positive:
         return "target measure is identically zero: no weight is positive"
     dim = len(weights)
-    seen = {0}
-    queue = deque([0])
+
+    def near(x):
+        if proposal == "uniform":
+            return range(dim)
+        return [x ^ (1 << b) for b in range(dim.bit_length() - 1)]
+
+    start = 0 if 0 in positive else next((y for y in near(0) if y in positive), None)
+    seen = set() if start is None else {start}
+    queue = deque(seen)
     while queue:
         x = queue.popleft()
-        if proposal == "uniform":
-            near = range(dim)
-        else:
-            near = [x ^ (1 << b) for b in range(dim.bit_length() - 1)]
-        for y in near:
+        for y in near(x):
             if y in positive and y not in seen:
                 seen.add(y)
                 queue.append(y)
@@ -475,6 +480,9 @@ ERROR_CASES = {
     "flip-two-flips-away": (np.array([0.0, 0.0, 0.0, 1.0]), ChainConfig(200, 5, burn_in=0)),
     # state 0 has weight and moves nowhere: its neighbours 1 and 2 are zero
     "flip-split-support": (np.array([0.5, 0.0, 0.0, 0.5]), ChainConfig(200, 5)),
+    # a zero-weight state 0 between the positive states 1 and 2: the chain
+    # leaves it for one of them and stays there
+    "flip-split-by-zero-start": (np.array([0.0, 1.0, 1.0, 0.0]), ChainConfig(200, 5)),
     # reachable, but no uniform proposal hits state 1023 in 5 steps
     "uniform-late-positive": (np.eye(1024)[1023], ChainConfig(5, 3, "uniform", 0)),
 }

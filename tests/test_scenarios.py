@@ -549,6 +549,19 @@ def test_pure_state_mean_is_exact_or_a_sampler_error(proposal):
         assert {"exact", "stranded"} <= set(outcomes)
 
 
+def test_pure_state_diagonal_is_clipped_like_mu_table():
+    # diag used to read about -1e-17 where mean's table reads 0.
+    for seed in range(40):
+        spec = pure_state_spec(seed, "uniform")
+        target = resolve_target(spec)
+        for mode, key in (("exact-mu", "exact_mu"), ("circuit-mu", "circuit_mu")):
+            table = mu_table(spec, mode)
+            for x0 in range(4):
+                got = estimate_diagonal(target.a, target.v, x0, target.circuit, 10, seed)[key]
+                assert got >= 0.0
+                assert got == pytest.approx(table[x0], abs=1e-15)
+
+
 @pytest.fixture
 def decomposition_count(monkeypatch):
     """Counts eigendecompose calls; any statevector simulation fails."""
