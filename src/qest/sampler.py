@@ -45,6 +45,14 @@ BLOCK_STEPS = 4096
 
 _LOW32 = 0xFFFFFFFF
 
+# Equal buckets of [0, 1) through which _TableWalk ranks its uniforms; a
+# uniform times a power of two up to 2**53 is exact.
+_BUCKETS = 4096
+
+# Most entries a _TableWalk's table may have: a list slot of 8 bytes each, plus
+# about 28 for its int above 256 states, where Python does not share them.
+_MAX_TABLE_ENTRIES = 2 ** 22
+
 # The smallest positive float: no positive weight is below it.
 _SMALLEST_FLOAT = 5e-324
 
@@ -267,7 +275,9 @@ def run_chain(weights, config: ChainConfig) -> ChainRun:
     Each step draws rng.integers(0, n) for the proposal (n = dim, or the bit
     count for single-bit-flip) and then rng.random() for the acceptance test,
     rng = default_rng(config.seed), whether or not the move is taken; the
-    draws are decoded a block at a time (see _DrawStream).
+    draws are decoded a block at a time (see _DrawStream). The steps run on a
+    _TableWalk when _use_table admits its size, else on a _WeightWalk; both
+    take the same steps.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -282,12 +292,15 @@ def run_chain(weights, config: ChainConfig) -> ChainRun:
         raise SamplerError("target measure is identically zero: no weight is positive")
     if n_bits and not w.all():  # a uniform proposal joins every pair of states
         _check_flip_reach(w > 0, n_bits)
-    walk = _WeightWalk(w.tolist(), n_bits)
+    total = config.burn_in + config.n_steps * config.thinning
+    if _use_table(n_bits or dim, dim, total):
+        walk = _TableWalk(w, n_bits)
+    else:
+        walk = _WeightWalk(w.tolist(), n_bits)
     draws = _DrawStream(np.random.default_rng(config.seed), n_bits or dim)
 
     samples = np.empty(config.n_steps, np.intp)
     filled = 0
-    total = config.burn_in + config.n_steps * config.thinning
     record = config.burn_in + config.thinning - 1  # next step whose state is kept
     for start in range(0, total, BLOCK_STEPS):
         states = walk.advance(*draws.take(min(BLOCK_STEPS, total - start)))
@@ -384,6 +397,75 @@ class _WeightWalk:
         wx = w[x] or _SMALLEST_FLOAT
         row = self.rows[x] = [w[x ^ (1 << b)] / wx for b in range(self.n_bits)]
         return row
+
+
+def _use_table(n_choices: int, dim: int, total: int) -> bool:
+    """Whether a chain of total steps runs on a _TableWalk: its table has
+    n_choices * (dim + 1) * dim entries and costs O(n_choices * dim^2) to
+    build, so it pays only for at least that many steps, and its memory is
+    capped at _MAX_TABLE_ENTRIES."""
+    return n_choices * (dim + 1) * dim <= min(total, _MAX_TABLE_ENTRIES)
+
+
+class _TableWalk:
+    """The steps of _WeightWalk as lookups in a table of the chain's maps.
+
+    State x moves under proposal k and uniform u exactly when
+    u < ratio[k, x], with the ratios _WeightWalk divides. That depends on u
+    only through r = #(proposal k's ratios <= u): x moves when at least r of
+    them are below ratio[k, x]. So a step is one of n_choices * (dim + 1)
+    maps, symbol k * (dim + 1) + r, and table[x][symbol] is the next state.
+
+    A uniform's rank g among the distinct ratios below 1 (levels) is read
+    from its bucket floor(u * _BUCKETS), exact for every uniform, unless a
+    level lies inside that bucket; symbol[k, g] is then the step's symbol.
+    """
+
+    __slots__ = ("ratio", "table", "symbol", "levels", "by_bucket", "crowded", "x", "n_accepted")
+
+    def __init__(self, weights: np.ndarray, n_bits: int):
+        dim = weights.size
+        states = np.arange(dim)
+        if n_bits:
+            target = states ^ (1 << np.arange(n_bits))[:, None]  # [k, x]
+        else:
+            target = np.broadcast_to(states[:, None], (dim, dim))
+        with np.errstate(over="ignore"):  # as the Python division overflows to inf
+            ratio = weights[target] / np.where(weights > 0, weights, _SMALLEST_FLOAT)
+        self.ratio = ratio.ravel()  # [k * dim + x]
+        self.levels = levels = np.unique(ratio[ratio < 1])
+        ordered = np.sort(ratio, axis=1)
+        # rank[k, g]: proposal k's ratios <= levels[g - 1], and 0 for g = 0
+        rank = np.array([np.searchsorted(r, np.append(-1.0, levels), "right") for r in ordered])
+        below = np.array([np.searchsorted(r, v) for r, v in zip(ordered, ratio)])  # ratios < ratio[k, x]
+        moved = below.T[:, :, None] >= np.arange(dim + 1)
+        self.table = np.where(moved, target.T[:, :, None], states[:, None, None]).reshape(dim, -1).tolist()
+        self.symbol = rank + (dim + 1) * np.arange(len(ratio))[:, None]
+        edges = np.searchsorted(levels, np.arange(_BUCKETS) / _BUCKETS, "right")
+        self.by_bucket = self.symbol[:, edges].ravel()  # [k * _BUCKETS + bucket]
+        scaled = levels * _BUCKETS
+        self.crowded = np.zeros(_BUCKETS, bool)
+        self.crowded[scaled[scaled != np.floor(scaled)].astype(np.intp)] = True
+        self.x = self.n_accepted = 0
+
+    def advance(self, props: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+        """Take one step per draw; the state after each step, in order."""
+        k = props.astype(np.intp)
+        bucket = (uniform * _BUCKETS).astype(np.intp)
+        symbols = self.by_bucket[k * _BUCKETS + bucket]
+        crowded = self.crowded[bucket]
+        if crowded.any():
+            g = np.searchsorted(self.levels, uniform[crowded], "right")
+            symbols[crowded] = self.symbol[k[crowded], g]
+        table, x = self.table, self.x
+        states = [x := table[x][s] for s in symbols.tolist()]
+        dim = len(table)  # up to 256 states fit a byte, the fastest way into numpy
+        states = np.frombuffer(bytearray(states), np.uint8) if dim <= 256 else np.array(states)
+        # Counted as _WeightWalk counts: a uniform proposal of x itself too.
+        before = np.concatenate(([self.x], states[:-1]))
+        self.n_accepted += int(np.count_nonzero(uniform < self.ratio[k * dim + before]))
+        self.x = x
+        return states
 
 
 def build_metropolis_matrix(mu, proposal: str = "single-bit-flip") -> MarkovChain:

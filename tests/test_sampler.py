@@ -496,6 +496,186 @@ def test_blocked_kernel_raises_like_per_step(case):
     assert got[0] is SamplerError
 
 
+WALKS = {"table": sampler._TableWalk, "rows": sampler._WeightWalk}
+
+
+def force_walk(monkeypatch, walk: str) -> list:
+    """Make run_chain take the named walk whatever the sizes; the walks it
+    builds are recorded in the returned list."""
+    monkeypatch.setattr(sampler, "_use_table", lambda *sizes: walk == "table")
+    return record_walks(monkeypatch)
+
+
+def record_walks(monkeypatch) -> list:
+    built = []
+    for name, cls in WALKS.items():
+        def init(self, *args, cls=cls, name=name):
+            built.append(name)
+            cls.__init__(self, *args)
+
+        monkeypatch.setattr(sampler, cls.__name__, type(cls.__name__, (cls,), {"__init__": init}))
+    return built
+
+
+def assert_both_walks_match_the_oracle(monkeypatch, weights, cfg):
+    """Each walk, forced whatever the sizes, against reference_outcome."""
+    with np.errstate(over="ignore"):
+        want = reference_outcome(weights, cfg)
+    for walk in sorted(WALKS):
+        built = force_walk(monkeypatch, walk)
+        assert outcome(run_chain, weights, cfg) == want, (walk, cfg)
+        assert built == [walk] or want[0] is SamplerError, (walk, built)
+    return want
+
+
+@pytest.mark.parametrize("proposal, dim", PROPOSAL_DIMS)
+def test_both_walks_reproduce_per_step_trajectories(monkeypatch, proposal, dim):
+    rng = np.random.default_rng(1300 + dim)
+    for name, weights in weight_cases(dim, rng):
+        for n_steps, burn_in, thinning, seed in SCHEDULES:
+            cfg = ChainConfig(n_steps, seed, proposal, burn_in, thinning)
+            assert_both_walks_match_the_oracle(monkeypatch, weights, cfg)
+
+
+def test_both_walks_on_one_state(monkeypatch):
+    for weights in ([0.7], [0.0]):
+        assert_both_walks_match_the_oracle(monkeypatch, weights, ChainConfig(100, 3, "uniform", 5000))
+
+
+@pytest.mark.parametrize(
+    "proposal, dim, n_choices",
+    [("single-bit-flip", 16, 4), ("uniform", 8, 8), ("uniform", 1, 1), ("single-bit-flip", 64, 6)],
+)
+def test_size_rule_picks_the_table_from_its_entry_count(monkeypatch, proposal, dim, n_choices):
+    # The table has n_choices * (dim + 1) * dim entries: 1088, 576, 2, 24960.
+    entries = n_choices * (dim + 1) * dim
+    weights = np.linspace(1.0, 2.0, dim)
+    for total, want in ((entries, "table"), (entries - 1, "rows"), (entries + 1, "table")):
+        built = record_walks(monkeypatch)
+        run_chain(weights, ChainConfig(1, 5, proposal, burn_in=total - 1))
+        assert built == [want], total
+    # The 3000-step chain of a 64-state `mean --mode shots` takes the rows.
+    assert sampler._use_table(6, 64, 3000) is False
+    # The cap on the table's size: 10 * 1025 * 1024 entries, above 2**22.
+    assert sampler._use_table(10, 1024, MAX_CHAIN_STEPS) is False
+    assert sampler._use_table(9, 512, 9 * 513 * 512) is True
+
+
+def scalar_steps(weights, n_bits: int, props, uniform, x: int = 0):
+    """The states after each step and the acceptance count, by the scalar
+    rule: move to proposal k's state y exactly when u < ratio[k][x], the
+    ratio w[y] / w[x] with a zero w[x] read as the smallest float."""
+    w = [float(v) for v in weights]
+    states, accepted = [], 0
+    for k, u in zip(props, uniform):
+        y = x ^ (1 << k) if n_bits else k
+        if u < w[y] / (w[x] or 5e-324):
+            x, accepted = y, accepted + 1
+        states.append(x)
+    return states, accepted
+
+
+def edge_uniforms(ratio: float, rng) -> list:
+    """Uniforms in [0, 1) at and around a ratio, at and around the edges of
+    the 1/4096 buckets next to it, and one at random."""
+    near = [ratio]
+    if 0 <= ratio < 1:
+        near += [np.floor(ratio * 4096) / 4096, np.ceil(ratio * 4096) / 4096]
+    near.append(int(rng.integers(4096)) / 4096)
+    out = [float(rng.random())]
+    for v in near:
+        out += [v, np.nextafter(v, 0.0), np.nextafter(v, 1.0)]
+    return [u for u in out if 0.0 <= u < 1.0]
+
+
+def hand_picked_draws(weights, n_bits: int, n_steps: int, seed: int):
+    """Proposals at random and, at each step, a uniform picked from
+    edge_uniforms of the ratio that step reads; also how many uniforms equal
+    that ratio."""
+    w = [float(v) for v in weights]
+    rng = np.random.default_rng(seed)
+    n_choices = n_bits or len(w)
+    x, props, uniform, hits = 0, [], [], 0
+    for _ in range(n_steps):
+        k = int(rng.integers(n_choices))
+        y = x ^ (1 << k) if n_bits else k
+        ratio = w[y] / (w[x] or 5e-324)
+        u = float(rng.choice(edge_uniforms(ratio, rng)))
+        props.append(k)
+        uniform.append(u)
+        hits += u == ratio
+        x = scalar_steps(w, n_bits, [k], [u], x)[0][0]
+    return props, uniform, hits
+
+
+def assert_table_steps_like_the_scalar_rule(weights, n_bits: int, n_steps: int, seed: int):
+    props, uniform, hits = hand_picked_draws(weights, n_bits, n_steps, seed)
+    want, accepted = scalar_steps(weights, n_bits, props, uniform)
+    walk = sampler._TableWalk(np.array(weights, dtype=float), n_bits)
+    got = []
+    for lo, hi in ((0, 1), (1, n_steps // 2), (n_steps // 2, n_steps)):
+        got += walk.advance(np.array(props[lo:hi], np.uint64), np.array(uniform[lo:hi])).tolist()
+    assert got == want
+    assert (walk.x, walk.n_accepted) == (want[-1], accepted)
+    return uniform, hits
+
+
+def clustered(rng, dim):
+    # Ratios within 1e-12 of 1: many of them in the bucket [4095/4096, 1).
+    return (1 + 1e-12 * rng.random(dim)).tolist()
+
+
+TABLE_STEP_CASES = {
+    "clustered": clustered,
+    # Ratios of exactly j/4096 and 1, on bucket edges.
+    "bucket-edges": lambda rng, dim: [4096.0, 1.0, 2048.0, 3.0, 4096.0, 1024.0, 1.0, 4095.0][:dim],
+    # A zero start: ratios of inf out of it, 0 into zeros, 1 between equals.
+    "zero-start": lambda rng, dim: [0.0, 1.0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.5][:dim],
+    # -0.0 reads as 0, in the numerator and the denominator.
+    "negative-zero": lambda rng, dim: [-0.0, 0.25, -0.0, 1.0, 0.25, -0.0, 3.0, 1.0][:dim],
+    # Subnormals next to huge weights: ratios overflow to inf and underflow.
+    "overflow": lambda rng, dim: [0.0, 1e300, 5e-324, 1e-310, 1e300, 2e-308, 1.0, 1e308][:dim],
+    "random": lambda rng, dim: (rng.random(dim) ** 4).tolist(),
+}
+
+
+@pytest.mark.parametrize("n_bits", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", sorted(TABLE_STEP_CASES))
+def test_table_walk_steps_like_the_scalar_rule(case, n_bits):
+    dim = 2 ** n_bits if n_bits else 8
+    rng = np.random.default_rng([1500, n_bits, len(case)])
+    weights = TABLE_STEP_CASES[case](rng, dim)
+    uniform, hits = assert_table_steps_like_the_scalar_rule(weights, n_bits, 3000, 1501)
+    # Some uniforms equal the ratio their step reads, and some sit on a
+    # bucket edge.
+    assert hits > 0
+    assert any((u * 4096).is_integer() for u in uniform)
+
+
+def test_table_walk_on_one_state():
+    for weights in ([0.7], [1e-310], [1e300]):
+        assert_table_steps_like_the_scalar_rule(weights, 0, 200, 1502)
+
+
+def test_table_walk_above_256_states():
+    # 512 states under single-bit-flip: the states leave the walk through
+    # np.array rather than as bytes.
+    weights = np.random.default_rng(1503).random(512) ** 3
+    weights[::7] = 0.0
+    weights[0] = 0.0
+    assert_table_steps_like_the_scalar_rule(weights.tolist(), 9, 3000, 1504)
+
+
+@pytest.mark.parametrize("proposal", ["uniform", "single-bit-flip"])
+def test_walks_overflow_silently(monkeypatch, proposal):
+    # A zero start next to 1e300 and subnormal neighbours: the table's ratio
+    # division overflows to inf (as the loop's Python division does) with no
+    # RuntimeWarning, which pytest turns into an error.
+    weights = [0.0, 1e300, 5e-324, 1e-310, 1.7976931348623157e308, 2e-308, 1e-320, 1.0]
+    want = assert_both_walks_match_the_oracle(monkeypatch, weights, ChainConfig(2000, 21, proposal, 100))
+    assert want[1] > 0
+
+
 @pytest.mark.parametrize("dim", [2, 4, 8, 16, 64])
 def test_stranded_targets_match_the_breadth_first_search(dim):
     # Sparse supports under single-bit-flip: the kernel refuses exactly the
