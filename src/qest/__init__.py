@@ -2,143 +2,9 @@
 
 Everything runs on explicit state vectors and dense matrices, so the costs
 are exponential in qubit count by design; the point is exact cross-checking
-of the estimators, not scale.
+of the estimators, not scale. Each name has one import path, its own module
+(``qest.scenarios``, ``qest.sampler``, ...); the package root holds only the
+version.
 """
 
 __version__ = "0.1.0"
-
-from .circuit import (
-    CircuitConfig,
-    Gate,
-    GateSequence,
-    StateVector,
-    apply_controlled_evolution,
-    apply_inverse_dft,
-    apply_tomography_multiplexor,
-    compose_gate_unitary,
-    expand_multiplexor,
-    leakage_amplitude,
-    multiplexor_block,
-    multiplexor_deviation,
-    prepare_initial_state,
-    run_tomography_circuit,
-)
-from .estimation import (
-    EmpiricalDistribution,
-    SampleRecord,
-    ancilla_zero_probability,
-    empirical_distribution,
-    estimate_diag_element,
-    sample_measurements,
-)
-from .numerics import (
-    DomainError,
-    FunctionSpec,
-    HermitianOperator,
-    SpectralDecomposition,
-    UnitaryOperator,
-    eigendecompose,
-    exact_diag_element,
-    exact_mean,
-    exact_partition,
-    function_of_hermitian,
-    matrix_from_json,
-    matrix_to_json,
-    unitary_exp,
-    validate_density,
-)
-from .sampler import (
-    ChainConfig,
-    ChainRun,
-    MarkovChain,
-    SamplerError,
-    build_metropolis_matrix,
-    chain_eigenvalues,
-    discriminant_phase_gap,
-    phase_gap,
-    run_chain,
-    spectral_gap,
-    szegedy_walk_operator,
-    walk_eigenphases,
-)
-from .scenarios import (
-    EstimateReport,
-    ScenarioSpec,
-    choose_dt,
-    choose_gamma,
-    circuit_config,
-    estimate_diagonal,
-    estimate_partition,
-    exact_oracle,
-    mu_table,
-    run_scenario_mean,
-    run_scenario_partition,
-    shift_nonnegative,
-    signed_partition,
-    split_signed_coeffs,
-    trace_ratio,
-)
-
-__all__ = [
-    "CircuitConfig",
-    "ChainConfig",
-    "ChainRun",
-    "DomainError",
-    "EmpiricalDistribution",
-    "EstimateReport",
-    "FunctionSpec",
-    "Gate",
-    "GateSequence",
-    "HermitianOperator",
-    "MarkovChain",
-    "SampleRecord",
-    "SamplerError",
-    "ScenarioSpec",
-    "SpectralDecomposition",
-    "StateVector",
-    "UnitaryOperator",
-    "ancilla_zero_probability",
-    "apply_controlled_evolution",
-    "apply_inverse_dft",
-    "apply_tomography_multiplexor",
-    "build_metropolis_matrix",
-    "chain_eigenvalues",
-    "choose_dt",
-    "choose_gamma",
-    "circuit_config",
-    "compose_gate_unitary",
-    "discriminant_phase_gap",
-    "eigendecompose",
-    "empirical_distribution",
-    "estimate_diag_element",
-    "estimate_diagonal",
-    "estimate_partition",
-    "exact_diag_element",
-    "exact_mean",
-    "exact_oracle",
-    "exact_partition",
-    "expand_multiplexor",
-    "function_of_hermitian",
-    "leakage_amplitude",
-    "matrix_from_json",
-    "matrix_to_json",
-    "mu_table",
-    "multiplexor_block",
-    "multiplexor_deviation",
-    "phase_gap",
-    "prepare_initial_state",
-    "run_chain",
-    "run_scenario_mean",
-    "run_scenario_partition",
-    "run_tomography_circuit",
-    "sample_measurements",
-    "shift_nonnegative",
-    "signed_partition",
-    "spectral_gap",
-    "split_signed_coeffs",
-    "szegedy_walk_operator",
-    "trace_ratio",
-    "unitary_exp",
-    "validate_density",
-    "walk_eigenphases",
-]

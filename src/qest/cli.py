@@ -32,6 +32,8 @@ from .numerics import (
     HermitianOperator,
     SpectralDecomposition,
     UnitaryOperator,
+    json_number,
+    json_numbers,
     matrix_from_json,
 )
 from .sampler import (
@@ -126,19 +128,12 @@ def _start(args, command: str, n_sam=None):
 
 
 def _typed(value, kind, name: str):
-    """value as an int (kind int) or float (kind float); JSON booleans,
-    strings and fractional ints are config errors."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (kind is int and isinstance(value, float) and not value.is_integer())
-    ):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    """value as an int (kind int) or float (kind float); what json_number
+    rejects is a config error."""
     try:
-        return kind(value)
-    except OverflowError as exc:  # a JSON integer beyond the float range
-        raise ConfigError(f"{name} is out of range: {exc}") from exc
+        return json_number(value, kind, name)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _number(cfg: dict, key: str, kind, default=None):
@@ -180,9 +175,11 @@ def _function_spec(value) -> FunctionSpec:
     try:
         if isinstance(value, dict):
             return FunctionSpec.from_json(value)
-        if isinstance(value, (list, str)):
+        if isinstance(value, list):
+            return FunctionSpec.weighted_exponential(json_numbers(value, "'g'"), 0.0)
+        if isinstance(value, str):
             return FunctionSpec.weighted_exponential(value, 0.0)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot interpret function spec {value!r}: {exc}") from exc
     raise ConfigError(f"cannot interpret function spec {value!r}")
 
@@ -192,8 +189,8 @@ def _observable(value, base: Path):
     if isinstance(value, dict) and "eigenvalues" in value:
         u = UnitaryOperator(_resolve_matrix(_require(value, "basis_changer"), base))
         try:
-            vals = np.array(value["eigenvalues"], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
+            vals = np.array(json_numbers(value["eigenvalues"], "'eigenvalues'"), dtype=float)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"observable eigenvalues are not numbers: {exc}") from exc
         if vals.shape != (u.dim,):
             raise ConfigError("observable eigenvalue count does not match basis")
@@ -316,7 +313,7 @@ def _chains_from_config(cfg: dict, base: Path, seed: int):
             raise ConfigError("chain entries need a 'transition' matrix")
         try:
             chains.append(MarkovChain.from_json(item))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad chain entry: {exc}") from exc
     rand = cfg.get("random")
     n_chains, dims = 0, []

@@ -1,4 +1,5 @@
-"""Measurement sampling and the ancilla-based diagonal-element estimator."""
+"""Seeded measurement sampling of a statevector: the test oracle for the
+circuit's ancilla statistics. No CLI path loads this module."""
 
 from __future__ import annotations
 
@@ -87,12 +88,3 @@ def empirical_distribution(samples, registers=REGISTERS) -> EmpiricalDistributio
     }
     counts = Counter(tuple(keys[r](rec) for r in registers) for rec in samples)
     return EmpiricalDistribution(registers, dict(counts), len(samples))
-
-
-def estimate_diag_element(ancilla_zero_freq: float, gamma: float) -> float:
-    """Invert the gamma scaling: mu_hat = P_b(0) / gamma."""
-    if not 0 <= ancilla_zero_freq <= 1:
-        raise DomainError(f"frequency {ancilla_zero_freq} outside [0, 1]")
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise DomainError(f"gamma must be finite and > 0, got {gamma}")
-    return ancilla_zero_freq / gamma

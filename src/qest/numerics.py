@@ -25,6 +25,39 @@ class DomainError(ValueError):
     """A numerical-domain precondition was violated."""
 
 
+def json_number(value, kind, name: str):
+    """A JSON number as an int (kind int) or a float (kind float); a boolean,
+    a string, a fractional number where an int belongs or an integer beyond
+    the float range raises DomainError naming the value."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (kind is int and isinstance(value, float) and not value.is_integer())
+    ):
+        what = "an integer" if kind is int else "a number"
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise DomainError(f"{name} is out of range: {exc}") from exc
+
+
+def json_numbers(value, name: str):
+    """value, a JSON number or nested lists (or tuples) of them, returned
+    unchanged once every entry passes json_number. A null passes: it reads
+    as nan, which the callers' finiteness checks reject."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            # A row of floats and nulls, the common case, passes at C speed.
+            if not set(map(type, item)) <= {float, type(None)}:
+                stack.extend(item)
+        elif item is not None:
+            json_number(item, float, f"an entry of {name}")
+    return value
+
+
 def _as_complex_matrix(entries) -> np.ndarray:
     m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -264,11 +297,14 @@ class FunctionSpec:
     def from_json(cls, obj: dict) -> "FunctionSpec":
         family = obj.get("family")
         if family == "tabulated":
-            return cls.tabulated(obj["grid"], obj["values"])
+            return cls.tabulated(
+                json_numbers(obj["grid"], "'grid'"), json_numbers(obj["values"], "'values'")
+            )
+        beta = json_number(obj.get("beta", 0.0), float, "'beta'")
         g = obj.get("g_coeffs", ())
         if isinstance(g, str):
-            return cls.weighted_exponential(g, float(obj.get("beta", 0.0)))
-        return cls(family, beta=float(obj.get("beta", 0.0)), g_coeffs=tuple(g))
+            return cls.weighted_exponential(g, beta)
+        return cls(family, beta=beta, g_coeffs=tuple(json_numbers(g, "'g_coeffs'")))
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -278,11 +314,10 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        dim = int(obj["dim"])
-        re = np.array(obj["re"], dtype=float)
-        im = np.array(obj["im"], dtype=float)
-    # OverflowError: a dim of +-Infinity, or an integer entry beyond float.
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        dim = json_number(obj["dim"], int, "'dim'")
+        re = np.array(json_numbers(obj["re"], "'re'"), dtype=float)
+        im = np.array(json_numbers(obj["im"], "'im'"), dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed matrix object: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DomainError(

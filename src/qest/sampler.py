@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import DomainError, UnitaryOperator
+from .numerics import DomainError, UnitaryOperator, json_numbers
 
 ROW_SUM_TOL = 1e-12
 BALANCE_TOL = 1e-10
@@ -128,10 +128,9 @@ class MarkovChain:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MarkovChain":
-        stat = obj.get("stationary")
         return cls(
-            np.array(obj["transition"], dtype=float),
-            None if stat is None else np.array(stat, dtype=float),
+            json_numbers(obj["transition"], "'transition'"),
+            json_numbers(obj.get("stationary"), "'stationary'"),
         )
 
 
@@ -218,13 +217,15 @@ class _DrawStream:
         lead = int(start_half is not None)
         m = k - lead
         words = self._raw(k + (m + 1) // 2)
-        groups = np.append(words[lead:], np.zeros(m % 2, np.uint64)).reshape(-1, 3)
-        split = groups[:, 0]
-        halves = np.column_stack((split & _LOW32, split >> np.uint64(32))).ravel()[:m]
-        uniform = groups[:, 1:].ravel()[:m]
+        split = words[lead::3]
+        halves = np.empty(k, np.uint64)
+        uniform = np.empty(k, np.uint64)
         if lead:
-            halves = np.concatenate((np.array([start_half], np.uint64), halves))
-            uniform = np.concatenate((words[:1], uniform))
+            halves[0], uniform[0] = start_half, words[0]
+        halves[lead::2] = split & _LOW32
+        halves[lead + 1::2] = split[:m // 2] >> np.uint64(32)
+        uniform[lead::2] = words[lead + 1::3]
+        uniform[lead + 1::2] = words[lead + 2::3]
         self._half = int(split[-1] >> np.uint64(32)) if m % 2 else None
         scaled = halves * np.uint64(self._n)
         if self._threshold and ((scaled & _LOW32) < self._threshold).any():

@@ -27,7 +27,6 @@ from .circuit import (
     probe_grid,
     probe_mass,
 )
-from .estimation import estimate_diag_element
 from .numerics import (
     DomainError,
     FunctionSpec,
@@ -440,6 +439,15 @@ def exact_oracle(spec: ScenarioSpec, report: EstimateReport | None = None) -> di
     if report is None:
         return {"exact_value": exact}
     return {"exact_value": exact, "abs_error": abs(report.point_estimate - exact)}
+
+
+def estimate_diag_element(ancilla_zero_freq: float, gamma: float) -> float:
+    """Invert the gamma scaling: mu_hat = P_b(0) / gamma."""
+    if not 0 <= ancilla_zero_freq <= 1:
+        raise DomainError(f"frequency {ancilla_zero_freq} outside [0, 1]")
+    if not np.isfinite(gamma) or gamma <= 0:
+        raise DomainError(f"gamma must be finite and > 0, got {gamma}")
+    return ancilla_zero_freq / gamma
 
 
 def estimate_diagonal(

@@ -20,7 +20,6 @@ from qest.circuit import (
 from qest.estimation import (
     ancilla_zero_probability,
     empirical_distribution,
-    estimate_diag_element,
     sample_measurements,
 )
 from qest.numerics import (
@@ -44,6 +43,7 @@ from qest.sampler import (
 from qest.scenarios import (
     ScenarioSpec,
     choose_gamma,
+    estimate_diag_element,
     run_scenario_mean,
     run_scenario_partition,
     trace_ratio,

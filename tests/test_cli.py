@@ -938,3 +938,82 @@ def test_partition_infinite_weight_coefficient_is_config_error(tmp_path, capsys)
     assert err.startswith("config error:")
     assert "finite" in err
     assert err.count("\n") == 1
+
+
+# A number nested in a config object (a matrix, a function spec, a bare g
+# list, an observable's eigenvalues, a walk-gap chain) must be a JSON number,
+# as a top-level key must. A string or boolean that float() or numpy read,
+# and a fractional dim that int() truncated, used to pass with exit 0.
+D01 = matrix_to_json(np.diag([0.0, 1.0]).astype(complex))
+I2 = matrix_to_json(np.eye(2, dtype=complex))
+# With n_probe 1 and dt = pi the probe grid is {0, 1}, so a tabulated f on
+# that grid serves diag(0, 1).
+TABULATED = {"n_probe": 1, "dt": float(np.pi)}
+
+
+def table(grid, values):
+    return dict(TABULATED, f={"family": "tabulated", "grid": grid, "values": values})
+
+
+def walk_config(tmp_path, **cfg):
+    return write_json(tmp_path / "walk.json", cfg)
+
+
+NESTED_NON_NUMBERS = {
+    "dim-string": ("diag", diag_config, {"a": dict(D01, dim="2")}, "2"),
+    "dim-bool": ("diag", diag_config, {"a": {"dim": True, "re": [[1.0]], "im": [[0.0]]}}, True),
+    "dim-fractional": ("diag", diag_config, {"a": dict(D01, dim=2.5)}, 2.5),
+    "re-string": ("diag", diag_config, {"a": dict(D01, re=[["0", 0.0], [0.0, 1.0]])}, "0"),
+    "re-bool": ("diag", diag_config, {"a": dict(D01, re=[[0.0, False], [0.0, 1.0]])}, False),
+    "im-string": ("mean", mean_config, {"hamiltonian": dict(D01, im=[[0.0, "0"], [0.0, 0.0]])},
+                  "0"),
+    "im-bool": ("mean", mean_config, {"observable": dict(D01, im=[[False, 0.0], [0.0, 0.0]])},
+                False),
+    "beta-string": ("diag", diag_config, {"f": {"family": "exponential", "beta": "0.5"}}, "0.5"),
+    "beta-bool": ("diag", diag_config, {"f": {"family": "exponential", "beta": True}}, True),
+    "g_coeffs-string": (
+        "diag", diag_config, {"f": {"family": "weighted_exponential", "g_coeffs": ["1"]}}, "1"
+    ),
+    "g_coeffs-bool": (
+        "diag", diag_config, {"f": {"family": "weighted_exponential", "g_coeffs": [True]}}, True
+    ),
+    "grid-string": ("diag", diag_config, table([0.0, "1.0"], [1.0, 0.5]), "1.0"),
+    "grid-bool": ("diag", diag_config, table([False, True], [1.0, 0.5]), True),
+    "values-string": ("diag", diag_config, table([0.0, 1.0], ["1.0", 0.5]), "1.0"),
+    "values-bool": ("diag", diag_config, table([0.0, 1.0], [True, 0.5]), True),
+    "g-string": ("partition", partition_config, {"g": ["1.0", 0.5]}, "1.0"),
+    "g-bool": ("partition", partition_config, {"g": [True]}, True),
+    "eigenvalues-string": (
+        "mean", mean_config, {"observable": {"eigenvalues": [0.0, "1"], "basis_changer": I2}}, "1"
+    ),
+    "eigenvalues-bool": (
+        "mean", mean_config, {"observable": {"eigenvalues": [False, 1.0], "basis_changer": I2}},
+        False,
+    ),
+    "transition-string": (
+        "walk-gap", walk_config, {"chains": [{"transition": [["0.75", 0.25], [0.5, 0.5]]}]},
+        "0.75",
+    ),
+    "transition-bool": (
+        "walk-gap", walk_config, {"chains": [{"transition": [[0.0, True], [1.0, 0.0]]}]}, True
+    ),
+    "stationary-string": (
+        "walk-gap", walk_config,
+        {"chains": [{"transition": [[0.5, 0.5], [0.5, 0.5]], "stationary": ["0.5", 0.5]}]}, "0.5",
+    ),
+    "stationary-bool": (
+        "walk-gap", walk_config,
+        {"chains": [{"transition": [[1.0, 0.0], [0.5, 0.5]], "stationary": [True, 0.0]}]}, True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_NON_NUMBERS))
+def test_nested_non_number_is_config_error(case, tmp_path, capsys):
+    command, make, cfg, bad = NESTED_NON_NUMBERS[case]
+    code, out, err = run_cli([command, "--config", make(tmp_path, **cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert f"got {bad!r}" in err
+    assert err.count("\n") == 1

@@ -9,7 +9,6 @@ from qest.estimation import (
     _draw_indices,
     ancilla_zero_probability,
     empirical_distribution,
-    estimate_diag_element,
     sample_measurements,
 )
 from qest.numerics import (
@@ -19,6 +18,7 @@ from qest.numerics import (
     UnitaryOperator,
     exact_diag_element,
 )
+from qest.scenarios import estimate_diag_element
 from qest.synth import on_grid_hermitian, random_unitary
 
 
