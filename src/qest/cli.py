@@ -16,8 +16,10 @@ comment lines starting with '#'.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -46,7 +48,6 @@ from .sampler import (
     spectral_gap,
 )
 from .scenarios import (
-    KINDS,
     ORACLE_DIM_CAP,
     ScenarioSpec,
     circuit_config,
@@ -66,7 +67,7 @@ MAX_MUX_ANGLES = 2 ** 12
 MAX_WALK_CHAINS = 2 ** 10
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     """The run configuration is missing, malformed, or inconsistent."""
 
 
@@ -80,10 +81,6 @@ class RunManifest:
     output_path: str
     timestamp: str
     tool_version: str
-
-
-def _now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _load(path, what: str, fallback=None):
@@ -104,62 +101,74 @@ def _load(path, what: str, fallback=None):
         raise ConfigError(f"cannot load {what} {str(path)!r}: {exc}") from exc
 
 
-def _seed(value, name: str = "seed") -> int:
-    seed = _typed(value, int, name)
+def _seed(seed: int, name: str = "seed") -> int:
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"{name} must fit in 64 bits, got {seed}")
     return seed
 
 
 def _manifest(args, command: str, seed: int) -> RunManifest:
-    return RunManifest(command, args.config, seed, args.out or "-", _now(), __version__)
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    return RunManifest(command, args.config, seed, args.out or "-", now, __version__)
 
 
-def _start(args, command: str, n_sam=None):
-    """Config object with n_sam (the --n-sam flag) applied, its directory,
-    the run seed and the manifest."""
-    cfg = _load(args.config, "config")
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
-    if n_sam is not None:
-        cfg["n_sam"] = n_sam
-    seed = _seed(args.seed if args.seed is not None else cfg.get("seed", 0))
-    return cfg, Path(args.config).parent, seed, _manifest(args, command, seed)
+def _take(obj: dict, key: str, kind=None, default=...):
+    """Remove key from a config object and return its value: a JSON number
+    of kind int or float, JSON numbers at any depth (kind list), or as given
+    (kind None). An absent key gives default, and without one is a config
+    error; a default of "auto" is also accepted as the value."""
+    if key not in obj:
+        if default is ...:
+            raise ConfigError(f"config is missing required key {key!r}")
+        return default
+    value = obj.pop(key)
+    if kind is None or value == default == "auto":
+        return value
+    if kind is list:
+        return json_numbers(value, repr(key))
+    return json_number(value, kind, repr(key))
 
 
-def _typed(value, kind, name: str):
-    """value as an int (kind int) or float (kind float); what json_number
-    rejects is a config error."""
+def _done(obj: dict, what: str) -> None:
+    """Reject the keys that the reads left in a config object."""
+    if obj:
+        keys = ", ".join(map(repr, obj))
+        raise ConfigError(f"unused key{'s' * (len(obj) > 1)} {keys} in {what}")
+
+
+@contextlib.contextmanager
+def _reading():
+    """Whatever a check raises while a config is read is a config error.
+    DomainError is a ValueError, and numpy and float() raise ValueError or
+    TypeError on ill-shaped JSON."""
     try:
-        return json_number(value, kind, name)
-    except DomainError as exc:
+        yield
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _number(cfg: dict, key: str, kind, default=None):
-    """Typed value of cfg[key]; without a default the key is required."""
-    if default is None:
-        _require(cfg, key)
-    return _typed(cfg.get(key, default), kind, repr(key))
+def _start(args, command: str, read):
+    """What read(cfg, base, seed) makes of the config object, in which the
+    --seed and --n-sam flags replace the keys they name, and the run
+    manifest. Any key the read leaves in the config is a config error."""
+    cfg = _load(args.config, "config")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
+    for key in ("seed", "n_sam"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    with _reading():
+        seed = _seed(_take(cfg, "seed", int, 0))
+        inputs = read(cfg, Path(args.config).parent, seed)
+        _done(cfg, "the config")
+    return inputs, _manifest(args, command, seed)
 
 
 # The optional keys of scenario configs (diag reads n_probe, n_sam, dt and
-# gamma of them) and their JSON types. A key a config leaves out takes
-# ScenarioSpec's default. ChainConfig checks the proposal name.
+# gamma of them) and their JSON types. A key a config leaves out takes its
+# ScenarioSpec field default. ChainConfig checks the proposal name.
 SETTINGS = {"n_sam": int, "n_probe": int, "dt": float, "gamma": float, "beta": float,
             "proposal": None, "burn_in": int, "thinning": int}
-
-
-def _settings(cfg: dict, keys) -> dict:
-    """The typed values of those keys that cfg sets; dt and gamma may also
-    be "auto"."""
-    out = {}
-    for key in keys:
-        if key in cfg:
-            value, kind = cfg[key], SETTINGS[key]
-            auto = key in ("dt", "gamma") and value == "auto"
-            out[key] = value if kind is None or auto else _typed(value, kind, repr(key))
-    return out
 
 
 def _resolve_matrix(value, base: Path) -> np.ndarray:
@@ -168,58 +177,43 @@ def _resolve_matrix(value, base: Path) -> np.ndarray:
         value = _load(base / value, "matrix file")
     if not isinstance(value, dict):
         raise ConfigError(f"expected a matrix object or path, got {type(value).__name__}")
-    return matrix_from_json(value)
+    parts = {key: _take(value, key) for key in ("dim", "re", "im")}
+    _done(value, "a matrix object")
+    return matrix_from_json(parts)
 
 
 def _function_spec(value) -> FunctionSpec:
-    try:
-        if isinstance(value, dict):
-            return FunctionSpec.from_json(value)
-        if isinstance(value, list):
-            return FunctionSpec.weighted_exponential(json_numbers(value, "'g'"), 0.0)
-        if isinstance(value, str):
-            return FunctionSpec.weighted_exponential(value, 0.0)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot interpret function spec {value!r}: {exc}") from exc
+    if isinstance(value, dict):
+        return FunctionSpec.from_json(value)
+    if isinstance(value, list):
+        return FunctionSpec.weighted_exponential(json_numbers(value, "'g'"), 0.0)
+    if isinstance(value, str):
+        return FunctionSpec.weighted_exponential(value, 0.0)
     raise ConfigError(f"cannot interpret function spec {value!r}")
 
 
-def _observable(value, base: Path):
+def _observable(value, base: Path) -> SpectralDecomposition:
     """Spectral pair from either an explicit pair or a plain matrix."""
     if isinstance(value, dict) and "eigenvalues" in value:
-        u = UnitaryOperator(_resolve_matrix(_require(value, "basis_changer"), base))
-        try:
-            vals = np.array(json_numbers(value["eigenvalues"], "'eigenvalues'"), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"observable eigenvalues are not numbers: {exc}") from exc
-        if vals.shape != (u.dim,):
-            raise ConfigError("observable eigenvalue count does not match basis")
+        vals = _take(value, "eigenvalues", list)
+        u = UnitaryOperator(_resolve_matrix(_take(value, "basis_changer"), base))
+        _done(value, "an observable")
         return SpectralDecomposition(vals, u)
     return HermitianOperator(_resolve_matrix(value, base)).spectrum
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
-
-
-def _scenario_from_config(cfg: dict, base: Path, seed: int) -> ScenarioSpec:
-    kind = _require(cfg, "kind")
-    kwargs = {"kind": kind, "seed": seed, **_settings(cfg, SETTINGS)}
-    if kind not in KINDS:
-        raise ConfigError(f"unknown scenario kind {kind!r}")
+def _scenario(cfg: dict, base: Path, seed: int) -> ScenarioSpec:
+    kind = _take(cfg, "kind")
+    # Kind A has a density matrix in place of a Hamiltonian, and no beta.
+    spec = {key: _take(cfg, key, SETTINGS[key], getattr(ScenarioSpec, key))
+            for key in SETTINGS if kind != "A" or key != "beta"}
     operator = "rho" if kind == "A" else "hamiltonian"
-    try:
-        kwargs[operator] = HermitianOperator(_resolve_matrix(_require(cfg, operator), base))
-        if kind == "C":
-            kwargs["g"] = _function_spec(_require(cfg, "g"))
-        else:
-            kwargs["observable"] = _observable(_require(cfg, "observable"), base)
-        return ScenarioSpec(**kwargs)
-    except DomainError as exc:
-        # Bad operator data inside a config file is a config problem.
-        raise ConfigError(str(exc)) from exc
+    spec[operator] = HermitianOperator(_resolve_matrix(_take(cfg, operator), base))
+    if kind == "C":
+        spec["g"] = _function_spec(_take(cfg, "g"))
+    else:
+        spec["observable"] = _observable(_take(cfg, "observable"), base)
+    return ScenarioSpec(kind=kind, seed=seed, **spec)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -237,26 +231,26 @@ def _scenario_mode(flag_mode: str) -> str:
     return "exact-mu" if flag_mode == "exact" else "circuit-mu"
 
 
-def cmd_diag(args) -> int:
-    cfg, base, seed, manifest = _start(args, "diag", args.n_sam)
-    opts = _settings(cfg, ("n_probe", "n_sam", "dt", "gamma"))
-    n_probe = opts.pop("n_probe", ScenarioSpec.n_probe)
-    n_sam = opts.pop("n_sam", ScenarioSpec.n_sam)
-    try:
-        a = HermitianOperator(_resolve_matrix(_require(cfg, "a"), base))
-        v = UnitaryOperator(_resolve_matrix(cfg["v"], base) if "v" in cfg else np.eye(a.dim))
-        f = _function_spec(_require(cfg, "f"))
-        x0 = _number(cfg, "x0", int)
-        check_register_size(n_probe, a.dim)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+def _diag_inputs(cfg: dict, base: Path, seed: int):
+    opts = {key: _take(cfg, key, SETTINGS[key], getattr(ScenarioSpec, key))
+            for key in ("n_probe", "n_sam", "dt", "gamma")}
+    a = HermitianOperator(_resolve_matrix(_take(cfg, "a"), base))
+    v = UnitaryOperator(_resolve_matrix(_take(cfg, "v"), base) if "v" in cfg else np.eye(a.dim))
+    f = _function_spec(_take(cfg, "f"))
+    x0 = _take(cfg, "x0", int)
+    check_register_size(opts["n_probe"], a.dim)
     if not 0 <= x0 < a.dim:
         raise ConfigError(f"x0 must be in 0 .. {a.dim - 1}, got {x0}")
-    if not 1 <= n_sam <= MAX_CHAIN_STEPS:
+    if not 1 <= opts["n_sam"] <= MAX_CHAIN_STEPS:
         raise ConfigError(
-            f"n_sam must be in 1 .. {MAX_CHAIN_STEPS} (the shot cap), got {n_sam}"
+            f"n_sam must be in 1 .. {MAX_CHAIN_STEPS} (the shot cap), got {opts['n_sam']}"
         )
+    return a, v, f, x0, opts
 
+
+def cmd_diag(args) -> int:
+    (a, v, f, x0, opts), manifest = _start(args, "diag", _diag_inputs)
+    n_probe, n_sam = opts.pop("n_probe"), opts.pop("n_sam")
     circuit = circuit_config(a, f, n_probe, **opts)
     report = {
         "manifest": dataclasses.asdict(manifest),
@@ -264,15 +258,14 @@ def cmd_diag(args) -> int:
         "dt": circuit.dt,
         "gamma": circuit.gamma,
         "n_probe": n_probe,
-        **estimate_diagonal(a, v, x0, circuit, n_sam, seed),
+        **estimate_diagonal(a, v, x0, circuit, n_sam, manifest.seed),
     }
     _emit_json(report, args.out)
     return 0
 
 
 def cmd_mean(args) -> int:
-    cfg, base, seed, manifest = _start(args, "mean", args.n_sam)
-    spec = _scenario_from_config(cfg, base, seed)
+    spec, manifest = _start(args, "mean", _scenario)
     if spec.kind not in ("A", "B"):
         raise ConfigError("the mean command needs a kind A or B config")
     report = run_scenario_mean(spec, _scenario_mode(args.mode))
@@ -284,8 +277,7 @@ def cmd_mean(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    cfg, base, seed, manifest = _start(args, "partition", args.n_sam)
-    spec = _scenario_from_config(cfg, base, seed)
+    spec, manifest = _start(args, "partition", _scenario)
     if spec.kind != "C":
         raise ConfigError("the partition command needs a kind C config")
     zg, z1, ratio = estimate_partition(spec, _scenario_mode(args.mode))
@@ -301,57 +293,59 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _chains_from_config(cfg: dict, base: Path, seed: int):
-    items = cfg.get("chains", [])
+def _chain(item, base: Path) -> MarkovChain:
+    """An inline chain entry or the one in the JSON file a path names; its
+    optional dim must match its transition matrix."""
+    if isinstance(item, str):
+        item = _load(base / item, "chain file")
+    if not isinstance(item, dict):
+        raise ConfigError("chain entries need a 'transition' matrix")
+    dim = _take(item, "dim", int, None)
+    chain = MarkovChain(_take(item, "transition", list), _take(item, "stationary", list, None))
+    _done(item, "a chain entry")
+    if dim not in (None, chain.dim):
+        raise ConfigError(f"chain entry 'dim' {dim} does not match its {chain.dim} states")
+    return chain
+
+
+def _chains(cfg: dict, base: Path, seed: int):
+    """The explicit chains, then the random ones, each built as the sweep reaches it."""
+    items = _take(cfg, "chains", default=[])
     if not isinstance(items, list):
         raise ConfigError("'chains' must be a list")
-    chains = []
-    for item in items:
-        if isinstance(item, str):
-            item = _load(base / item, "chain file")
-        if not isinstance(item, dict) or "transition" not in item:
-            raise ConfigError("chain entries need a 'transition' matrix")
-        try:
-            chains.append(MarkovChain.from_json(item))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad chain entry: {exc}") from exc
-    rand = cfg.get("random")
+    chains = [_chain(item, base) for item in items]
+    rand = _take(cfg, "random", default=None)
     n_chains, dims = 0, []
     if rand:
         if not isinstance(rand, dict):
             raise ConfigError("'random' must be an object")
-        n_chains = _number(rand, "n_chains", int, 10)
+        n_chains = _take(rand, "n_chains", int, 10)
         if not 0 <= n_chains <= MAX_WALK_CHAINS:
             raise ConfigError(f"n_chains must be in 0 .. {MAX_WALK_CHAINS}, got {n_chains}")
-        dims = rand.get("dims")
+        dims = _take(rand, "dims", default=None)
         if dims is None:
-            dims = [_number(rand, "dim", int, 4)]
+            dims = [_take(rand, "dim", int, 4)]
         if not isinstance(dims, list) or not dims:
             raise ConfigError("'dims' must be a nonempty list of integers")
-        dims = [_typed(d, int, "a 'dims' entry") for d in dims]
-        proposal = rand.get("proposal", "uniform")
+        dims = [json_number(d, int, "a 'dims' entry") for d in dims]
+        proposal = _take(rand, "proposal", default="uniform")
         if proposal not in PROPOSALS:
             raise ConfigError(f"random proposal must be one of {PROPOSALS}, got {proposal!r}")
         bad = [d for d in dims if d & (d - 1)]
         if proposal == "single-bit-flip" and bad:
             raise ConfigError(f"single-bit-flip chains need power-of-two dims, got {bad[0]}")
-        rng = np.random.default_rng(_seed(rand.get("seed", seed), "random seed"))
-    try:
-        for n in [chain.dim for chain in chains] + dims:
-            check_walk_size(n)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-    for i in range(n_chains):
-        chains.append(random_reversible_chain(rng, dims[i % len(dims)], proposal))
-    if not chains:
+        rng = np.random.default_rng(_seed(_take(rand, "seed", int, seed), "random seed"))
+        _done(rand, "'random'")
+    for n in [chain.dim for chain in chains] + dims:
+        check_walk_size(n)
+    if not chains and not n_chains:
         raise ConfigError("walk-gap config names no chains")
-    return chains
+    sizes = itertools.islice(itertools.cycle(dims), n_chains)
+    return itertools.chain(chains, (random_reversible_chain(rng, n, proposal) for n in sizes))
 
 
 def cmd_walk_gap(args) -> int:
-    cfg, base, seed, manifest = _start(args, "walk-gap")
-    chains = _chains_from_config(cfg, base, seed)
-
+    chains, manifest = _start(args, "walk-gap", _chains)
     lines = [f"# manifest: {json.dumps(dataclasses.asdict(manifest), sort_keys=True)}"]
     lines.append("delta,phase_gap,ratio,status")
     for chain in chains:
@@ -373,21 +367,26 @@ def cmd_walk_gap(args) -> int:
     return 0
 
 
-def _load_angles(path: str):
+def _load_angles(path: str) -> list:
+    """A nonempty power-of-two list of at most MAX_MUX_ANGLES angles: a bare
+    list, an object's "angles" list or a whitespace-separated number file."""
     obj = _load(path, "angles file", lambda text: [float(tok) for tok in text.split()])
     if isinstance(obj, dict):
-        obj = obj.get("angles")
+        angles = _take(obj, "angles")
+        _done(obj, "the angles file")
+        obj = angles
     if not isinstance(obj, list) or not obj:
         raise ConfigError("angles file must hold a nonempty list of numbers")
-    return [_typed(x, float, "an angle") for x in obj]
+    if len(obj) & (len(obj) - 1):
+        raise ConfigError(f"angle count must be a power of two, got {len(obj)}")
+    if len(obj) > MAX_MUX_ANGLES:
+        raise ConfigError(f"{len(obj)} angles exceed the cap {MAX_MUX_ANGLES}")
+    return [json_number(x, float, "an angle") for x in obj]
 
 
 def cmd_compile_mux(args) -> int:
-    angles = _load_angles(args.config)
-    if len(angles) & (len(angles) - 1):
-        raise ConfigError(f"angle count must be a power of two, got {len(angles)}")
-    if len(angles) > MAX_MUX_ANGLES:
-        raise ConfigError(f"{len(angles)} angles exceed the cap {MAX_MUX_ANGLES}")
+    with _reading():
+        angles = _load_angles(args.config)
     manifest = _manifest(args, "compile-mux", 0)  # the compiler draws nothing
     seq = expand_multiplexor(angles)
     header = f"# manifest: {json.dumps(dataclasses.asdict(manifest), sort_keys=True)}\n"

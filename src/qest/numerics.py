@@ -20,6 +20,11 @@ DENSITY_TOL = 1e-10
 # with domain restricted to nonnegative reals is applied.
 EIGENVALUE_CLIP = 1e-10
 
+# Eigenvalues within this of the smallest one of their group count as one
+# eigenvalue: eigendecompose orders each such group's eigenvectors by
+# position, so its eigenvalues may descend by up to this much.
+DEGENERACY_TOL = 1e-10
+
 
 class DomainError(ValueError):
     """A numerical-domain precondition was violated."""
@@ -140,7 +145,7 @@ class UnitaryOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues in ascending order plus the basis-change unitary.
+    """Eigenvalues, ascending up to DEGENERACY_TOL, plus the basis-change unitary.
 
     Column x of basis_changer is the eigenvector for eigenvalues[x]; each
     column is phase-fixed so its first nonzero component is real positive.
@@ -155,7 +160,7 @@ class SpectralDecomposition:
             raise DomainError("eigenvalue count does not match the basis dimension")
         if not np.all(np.isfinite(vals)):
             raise DomainError("eigenvalues must be finite")
-        if np.any(np.diff(vals) < -1e-12):
+        if np.any(np.diff(vals) < -DEGENERACY_TOL):
             raise DomainError("eigenvalues are not in ascending order")
         vals.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
@@ -176,7 +181,14 @@ _NAMED_WEIGHTS = {
     "identity": (0.0, 1.0),
 }
 
-_FAMILIES = ("identity", "exponential", "weighted_exponential", "tabulated")
+# The JSON fields each function family reads besides "family".
+_FAMILY_FIELDS = {
+    "identity": (),
+    "exponential": ("beta",),
+    "weighted_exponential": ("beta", "g_coeffs"),
+    "tabulated": ("grid", "values"),
+}
+_FAMILIES = tuple(_FAMILY_FIELDS)
 
 # Queries against a tabulated function must land this close to a grid point.
 TABLE_MATCH_TOL = 1e-9
@@ -295,10 +307,18 @@ class FunctionSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FunctionSpec":
+        """The spec a JSON object describes; a field its family does not read
+        is a DomainError naming it."""
         family = obj.get("family")
+        if family not in _FAMILIES:
+            raise DomainError(f"unknown function family {family!r}")
+        unread = [repr(key) for key in obj if key not in ("family", *_FAMILY_FIELDS[family])]
+        if unread:
+            raise DomainError(f"function family {family!r} reads no {', '.join(unread)}")
         if family == "tabulated":
             return cls.tabulated(
-                json_numbers(obj["grid"], "'grid'"), json_numbers(obj["values"], "'values'")
+                json_numbers(obj.get("grid", ()), "'grid'"),
+                json_numbers(obj.get("values", ()), "'values'"),
             )
         beta = json_number(obj.get("beta", 0.0), float, "'beta'")
         g = obj.get("g_coeffs", ())
@@ -360,7 +380,7 @@ def eigendecompose(op: HermitianOperator) -> SpectralDecomposition:
     start = 0
     while start < len(vals):
         stop = start + 1
-        while stop < len(vals) and vals[stop] - vals[start] <= 1e-10:
+        while stop < len(vals) and vals[stop] - vals[start] <= DEGENERACY_TOL:
             stop += 1
         if stop - start > 1:
             def degeneracy_key(i):

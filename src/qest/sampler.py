@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import DomainError, UnitaryOperator, json_numbers
+from .numerics import DomainError, UnitaryOperator
 
 ROW_SUM_TOL = 1e-12
 BALANCE_TOL = 1e-10
@@ -125,13 +125,6 @@ class MarkovChain:
         vals = np.linalg.eigvalsh(np.sqrt(p * p.T))[::-1]
         vals.flags.writeable = False
         return vals
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MarkovChain":
-        return cls(
-            json_numbers(obj["transition"], "'transition'"),
-            json_numbers(obj.get("stationary"), "'stationary'"),
-        )
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qest import circuit, cli, estimation, sampler
+from qest import circuit, cli, sampler
 from qest.circuit import MAX_STATE_DIM, GateSequence, compose_gate_unitary, multiplexor_block
 from qest.cli import MAX_WALK_CHAINS, main
 from qest.numerics import FunctionSpec, HermitianOperator, matrix_to_json
@@ -139,9 +139,14 @@ def test_diag_simulates_no_circuit(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("diag simulated the circuit")
 
-    monkeypatch.setattr(circuit, "run_tomography_circuit", refuse)
-    monkeypatch.setattr(circuit, "prepare_initial_state", refuse)
-    monkeypatch.setattr(estimation, "sample_measurements", refuse)
+    for name in (
+        "run_tomography_circuit",
+        "prepare_initial_state",
+        "apply_controlled_evolution",
+        "apply_inverse_dft",
+        "apply_tomography_multiplexor",
+    ):
+        monkeypatch.setattr(circuit, name, refuse)
     code, out, err = run_cli(["diag", "--config", diag_config(tmp_path)], capsys)
     assert code == 0
     assert err == ""
@@ -289,6 +294,11 @@ def test_mean_dimension_mismatch_is_domain_error(case, mode, tmp_path, capsys):
         n_sam=100,
         burn_in=0,
     )
+    if key == "rho":
+        # Kind A has no Hamiltonian and no beta.
+        cfg = json.loads((tmp_path / "mean.json").read_text())
+        del cfg["hamiltonian"], cfg["beta"]
+        path = write_json(tmp_path / "mean.json", cfg)
     code, out, err = run_cli(["mean", "--config", path, "--mode", mode], capsys)
     assert code == 3
     assert out == ""
@@ -1017,3 +1027,139 @@ def test_nested_non_number_is_config_error(case, tmp_path, capsys):
     assert err.startswith("config error:")
     assert f"got {bad!r}" in err
     assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------- unused keys
+
+H2 = 0.7071067811865476
+HADAMARD = {"dim": 2, "re": [[H2, H2], [H2, -H2]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+README_CONFIGS = {
+    "diag": {
+        "a": D01, "v": HADAMARD, "f": {"family": "exponential", "beta": 0.5},
+        "x0": 0, "n_probe": 4, "n_sam": 200, "seed": 7,
+    },
+    "mean": {
+        "kind": "B", "hamiltonian": D01, "observable": D01,
+        "beta": 0.6931471805599453, "n_sam": 200, "seed": 11,
+    },
+    "partition": dict(README_PARTITION, n_sam=200),
+    "walk-gap": {"random": {"n_chains": 5, "dim": 6, "seed": 5}},
+    "compile-mux": {"angles": [0.475, -0.525, 0.3, 0.1]},
+}
+# Each README config, some with one value swapped for another form the
+# README allows, and the path of the object that gets a stray key.
+STRAY_KEY_SITES = {
+    "diag-top-level": ("diag", {}, ()),
+    "diag-matrix": ("diag", {}, ("a",)),
+    "diag-unitary": ("diag", {}, ("v",)),
+    "diag-function-spec": ("diag", {}, ("f",)),
+    "mean-top-level": ("mean", {}, ()),
+    "mean-matrix": ("mean", {}, ("hamiltonian",)),
+    "mean-observable-matrix": ("mean", {}, ("observable",)),
+    "mean-spectral-pair": (
+        "mean", {"observable": {"eigenvalues": [0.0, 1.0], "basis_changer": HADAMARD}},
+        ("observable",),
+    ),
+    "mean-spectral-pair-basis": (
+        "mean", {"observable": {"eigenvalues": [0.0, 1.0], "basis_changer": HADAMARD}},
+        ("observable", "basis_changer"),
+    ),
+    "partition-top-level": ("partition", {}, ()),
+    "partition-matrix": ("partition", {}, ("hamiltonian",)),
+    "partition-weight-spec": (
+        "partition", {"g": {"family": "weighted_exponential", "g_coeffs": [1.0, -1.0]}}, ("g",)
+    ),
+    "walk-gap-top-level": ("walk-gap", {}, ()),
+    "walk-gap-random": ("walk-gap", {}, ("random",)),
+    "walk-gap-chain-entry": (
+        "walk-gap", {"chains": [{"dim": 2, "transition": [[0.75, 0.25], [0.5, 0.5]]}]},
+        ("chains", 0),
+    ),
+    "compile-mux-angles-object": ("compile-mux", {}, ()),
+}
+
+
+def stray_key_config(tmp_path, case, stray):
+    command, overrides, site = STRAY_KEY_SITES[case]
+    cfg = json.loads(json.dumps(dict(README_CONFIGS[command], **overrides)))
+    if stray:
+        obj = cfg
+        for step in site:
+            obj = obj[step]
+        obj["n_smaples"] = 100
+    return command, write_json(tmp_path / "config.json", cfg)
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_KEY_SITES))
+def test_stray_key_is_config_error(case, tmp_path, capsys):
+    # A key that nothing reads used to be ignored, so a misspelled one ran
+    # with the default: "n_smaples" ran 10000 samples. Without it the
+    # config runs.
+    command, path = stray_key_config(tmp_path, case, stray=False)
+    assert run_cli([command, "--config", path, "--out", str(tmp_path / "out")], capsys)[0] == 0
+    command, path = stray_key_config(tmp_path, case, stray=True)
+    code, out, err = run_cli([command, "--config", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert "'n_smaples'" in err
+    assert err.count("\n") == 1
+
+
+# Keys another config kind or function family reads, which used to run as if
+# they were absent.
+MISPLACED_KEYS = {
+    "exponential-g_coeffs": (
+        "diag", {"f": {"family": "exponential", "beta": 0.5, "g_coeffs": [5.0]}}, "'g_coeffs'"
+    ),
+    "identity-beta": ("diag", {"f": {"family": "identity", "beta": 3.0}}, "'beta'"),
+    "diag-burn_in": ("diag", {"burn_in": 10}, "'burn_in'"),
+    "kind-A-hamiltonian": (
+        "mean", {"kind": "A", "rho": matrix_to_json(np.eye(2) / 2), "beta": None}, "'hamiltonian'"
+    ),
+    "kind-A-beta": (
+        "mean", {"kind": "A", "rho": matrix_to_json(np.eye(2) / 2), "hamiltonian": None}, "'beta'"
+    ),
+    "partition-observable": ("partition", {"observable": D01}, "'observable'"),
+    "walk-gap-dims-and-dim": ("walk-gap", {"random": {"n_chains": 2, "dims": [4], "dim": 4}}, "'dim'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISPLACED_KEYS))
+def test_misplaced_key_is_config_error(case, tmp_path, capsys):
+    command, overrides, named = MISPLACED_KEYS[case]
+    cfg = dict(README_CONFIGS[command], **overrides)
+    cfg = {key: value for key, value in cfg.items() if value is not None}
+    code, out, err = run_cli([command, "--config", write_json(tmp_path / "c.json", cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert named in err
+    assert err.count("\n") == 1
+
+
+def test_chain_entry_dim_must_match_its_transition(tmp_path, capsys):
+    cfg = {"chains": [{"dim": 3, "transition": [[0.75, 0.25], [0.5, 0.5]]}]}
+    code, out, err = run_cli(["walk-gap", "--config", walk_config(tmp_path, **cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: chain entry 'dim' 3 does not match its 2 states\n"
+
+
+# diag(1 + 5e-11, 1): eigendecompose orders the two as one eigenvalue, by
+# eigenvector position, so its spectrum descends by 5e-11. Both runs used to
+# exit 3 with "eigenvalues are not in ascending order".
+NEAR_DEGENERATE = matrix_to_json(np.diag([1.0 + 5e-11, 1.0]).astype(complex))
+
+
+@pytest.mark.parametrize("mode", ["exact", "shots"])
+def test_mean_near_degenerate_hamiltonian(mode, tmp_path, capsys):
+    path = mean_config(tmp_path, hamiltonian=NEAR_DEGENERATE, n_sam=2000)
+    code, out, err = run_cli(["mean", "--config", path, "--mode", mode], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["oracle"]["exact_value"] == pytest.approx(0.5)
+
+
+def test_diag_near_degenerate_operator(tmp_path, capsys):
+    code, out, err = run_cli(["diag", "--config", diag_config(tmp_path, a=NEAR_DEGENERATE)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exact_mu"] == pytest.approx(np.exp(-0.5 * (1 + 5e-11)), rel=1e-15)

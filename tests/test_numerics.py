@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qest.numerics import (
+    DEGENERACY_TOL,
     DomainError,
     FunctionSpec,
     HermitianOperator,
@@ -153,6 +154,22 @@ def test_eigendecompose_deterministic_under_degeneracy():
         first.basis_changer.entries, again.basis_changer.entries
     )
     assert np.abs(first.reconstruct() - a.entries).max() <= 1e-10
+
+
+@pytest.mark.parametrize("gap", [5e-11, 0.9 * DEGENERACY_TOL])
+def test_eigendecompose_near_degenerate_diagonal(gap):
+    # 1 + gap and 1 count as one eigenvalue, whose vectors are ordered by
+    # position, so the spectrum descends by gap; the ascending check used to
+    # reject any descent over 1e-12.
+    dec = eigendecompose(HermitianOperator(np.diag([1.0 + gap, 1.0])))
+    assert dec.eigenvalues.tolist() == [1.0 + gap, 1.0]
+    np.testing.assert_array_equal(dec.basis_changer.entries, np.eye(2))
+
+
+def test_spectral_decomposition_rejects_descent_beyond_degeneracy():
+    SpectralDecomposition(np.array([1.0, 1.0 - 0.9 * DEGENERACY_TOL]), UnitaryOperator(np.eye(2)))
+    with pytest.raises(DomainError, match="ascending"):
+        SpectralDecomposition(np.array([1.0, 1.0 - 2 * DEGENERACY_TOL]), UnitaryOperator(np.eye(2)))
 
 
 # ---------------------------------------------------- function_of_hermitian
@@ -348,6 +365,25 @@ def test_function_spec_round_trip():
     ]
     for obj, spec in cases:
         assert FunctionSpec.from_json(obj) == spec
+
+
+# A field the family does not read, and an unknown family. A g_coeffs name
+# used to turn an exponential spec into a weighted one.
+UNREAD_FIELDS = {
+    "exponential-g_coeffs-list": ({"family": "exponential", "beta": 0.5, "g_coeffs": [5.0]}, "'g_coeffs'"),
+    "exponential-g_coeffs-name": ({"family": "exponential", "g_coeffs": "identity"}, "'g_coeffs'"),
+    "identity-beta": ({"family": "identity", "beta": 3.0}, "'beta'"),
+    "tabulated-beta": ({"family": "tabulated", "grid": [0.0], "values": [1.0], "beta": 1.0}, "'beta'"),
+    "weighted-grid": ({"family": "weighted_exponential", "g_coeffs": [1.0], "grid": [0.0]}, "'grid'"),
+    "no-family": ({"g_coeffs": "one"}, "family None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_FIELDS))
+def test_function_spec_rejects_fields_its_family_does_not_read(case):
+    obj, named = UNREAD_FIELDS[case]
+    with pytest.raises(DomainError, match=named):
+        FunctionSpec.from_json(obj)
 
 
 def test_function_spec_named_weights():
