@@ -36,6 +36,7 @@ from .numerics import (
     UnitaryOperator,
     json_number,
     json_numbers,
+    json_vector,
     matrix_from_json,
 )
 from .sampler import (
@@ -114,9 +115,10 @@ def _manifest(args, command: str, seed: int) -> RunManifest:
 
 def _take(obj: dict, key: str, kind=None, default=...):
     """Remove key from a config object and return its value: a JSON number
-    of kind int or float, JSON numbers at any depth (kind list), or as given
-    (kind None). An absent key gives default, and without one is a config
-    error; a default of "auto" is also accepted as the value."""
+    of kind int or float, JSON numbers in lists of equal length at each
+    depth as a float array (kind np.ndarray; a null passes unchanged), or
+    as given (kind None). An absent key gives default, and without one is a
+    config error; a default of "auto" is also accepted as the value."""
     if key not in obj:
         if default is ...:
             raise ConfigError(f"config is missing required key {key!r}")
@@ -124,8 +126,12 @@ def _take(obj: dict, key: str, kind=None, default=...):
     value = obj.pop(key)
     if kind is None or value == default == "auto":
         return value
-    if kind is list:
-        return json_numbers(value, repr(key))
+    if kind is np.ndarray:
+        value = json_numbers(value, repr(key))
+        try:
+            return value if value is None else np.array(value, dtype=float)
+        except ValueError as exc:  # ragged lists; numpy's message names no key
+            raise ConfigError(f"{key!r} must be a rectangular array of numbers") from exc
     return json_number(value, kind, repr(key))
 
 
@@ -150,14 +156,16 @@ def _reading():
 def _start(args, command: str, read):
     """What read(cfg, base, seed) makes of the config object, in which the
     --seed and --n-sam flags replace the keys they name, and the run
-    manifest. Any key the read leaves in the config is a config error."""
+    manifest. A key a flag replaces must still hold an integer; any key the
+    read leaves in the config is a config error."""
     cfg = _load(args.config, "config")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
-    for key in ("seed", "n_sam"):
-        if getattr(args, key, None) is not None:
-            cfg[key] = getattr(args, key)
     with _reading():
+        for key in ("seed", "n_sam"):
+            if getattr(args, key, None) is not None:
+                _take(cfg, key, int, None)
+                cfg[key] = getattr(args, key)
         seed = _seed(_take(cfg, "seed", int, 0))
         inputs = read(cfg, Path(args.config).parent, seed)
         _done(cfg, "the config")
@@ -186,7 +194,7 @@ def _function_spec(value) -> FunctionSpec:
     if isinstance(value, dict):
         return FunctionSpec.from_json(value)
     if isinstance(value, list):
-        return FunctionSpec.weighted_exponential(json_numbers(value, "'g'"), 0.0)
+        return FunctionSpec.weighted_exponential(json_vector(value, "'g'"), 0.0)
     if isinstance(value, str):
         return FunctionSpec.weighted_exponential(value, 0.0)
     raise ConfigError(f"cannot interpret function spec {value!r}")
@@ -195,7 +203,7 @@ def _function_spec(value) -> FunctionSpec:
 def _observable(value, base: Path) -> SpectralDecomposition:
     """Spectral pair from either an explicit pair or a plain matrix."""
     if isinstance(value, dict) and "eigenvalues" in value:
-        vals = _take(value, "eigenvalues", list)
+        vals = _take(value, "eigenvalues", np.ndarray)
         u = UnitaryOperator(_resolve_matrix(_take(value, "basis_changer"), base))
         _done(value, "an observable")
         return SpectralDecomposition(vals, u)
@@ -301,7 +309,8 @@ def _chain(item, base: Path) -> MarkovChain:
     if not isinstance(item, dict):
         raise ConfigError("chain entries need a 'transition' matrix")
     dim = _take(item, "dim", int, None)
-    chain = MarkovChain(_take(item, "transition", list), _take(item, "stationary", list, None))
+    chain = MarkovChain(_take(item, "transition", np.ndarray),
+                        _take(item, "stationary", np.ndarray, None))
     _done(item, "a chain entry")
     if dim not in (None, chain.dim):
         raise ConfigError(f"chain entry 'dim' {dim} does not match its {chain.dim} states")

@@ -63,6 +63,17 @@ def json_numbers(value, name: str):
     return value
 
 
+def json_vector(value, name: str):
+    """value, a flat list (or tuple) of JSON numbers, returned unchanged once
+    json_numbers passes it; a scalar, a nested list or a null entry raises
+    DomainError naming it."""
+    if not isinstance(value, (list, tuple)) or any(
+        x is None or isinstance(x, (list, tuple)) for x in value
+    ):
+        raise DomainError(f"{name} must be a flat list of numbers, got {value!r}")
+    return json_numbers(value, name)
+
+
 def _as_complex_matrix(entries) -> np.ndarray:
     m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -90,8 +101,11 @@ class HermitianOperator:
         m = _as_complex_matrix(self.entries)
         if not _is_power_of_two(m.shape[0]) or m.shape[0] < 2:
             raise DomainError(f"dimension {m.shape[0]} is not a power of two >= 2")
-        asym = np.abs(m - m.conj().T).max()
-        if asym > HERMITICITY_TOL:
+        # Entries near the float limit overflow the difference to inf or nan;
+        # the check below rejects both, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            asym = np.abs(m - m.conj().T).max()
+        if not asym <= HERMITICITY_TOL:
             raise DomainError(f"matrix is not Hermitian: max |A - A^dag| = {asym:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -108,7 +122,7 @@ class HermitianOperator:
     def from_spectrum(cls, dec: "SpectralDecomposition") -> "HermitianOperator":
         """U diag(eigenvalues) U^dag, symmetrised, with dec as its spectrum."""
         m = dec.reconstruct()
-        op = cls((m + m.conj().T) / 2)
+        op = cls(m / 2 + m.conj().T / 2)  # halved first: no sum overflows
         op.__dict__["spectrum"] = dec  # the cached_property's slot
         return op
 
@@ -132,7 +146,9 @@ class UnitaryOperator:
             else:
                 gram = m.conj().T @ m
             gram[np.diag_indices_from(gram)] -= 1.0
-            dev = np.abs(gram).max()
+            # In place for real input: the dense walk's budget counts no
+            # fourth N^4 array.
+            dev = np.abs(gram, out=gram if gram.dtype == float else None).max()
         if not dev <= UNITARITY_TOL:
             raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {dev:.3e}")
         m.flags.writeable = False
@@ -317,14 +333,14 @@ class FunctionSpec:
             raise DomainError(f"function family {family!r} reads no {', '.join(unread)}")
         if family == "tabulated":
             return cls.tabulated(
-                json_numbers(obj.get("grid", ()), "'grid'"),
-                json_numbers(obj.get("values", ()), "'values'"),
+                json_vector(obj.get("grid", ()), "'grid'"),
+                json_vector(obj.get("values", ()), "'values'"),
             )
         beta = json_number(obj.get("beta", 0.0), float, "'beta'")
         g = obj.get("g_coeffs", ())
         if isinstance(g, str):
             return cls.weighted_exponential(g, beta)
-        return cls(family, beta=beta, g_coeffs=tuple(json_numbers(g, "'g_coeffs'")))
+        return cls(family, beta=beta, g_coeffs=json_vector(g, "'g_coeffs'"))
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

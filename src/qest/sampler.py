@@ -100,9 +100,11 @@ class MarkovChain:
         return self.transition.shape[0]
 
     @cached_property
-    def _solved_stationary(self) -> np.ndarray:
-        # Solved and checked for detailed balance once per chain given
-        # without a stationary vector; a declared one was checked above.
+    def pi(self) -> np.ndarray:
+        """The stationary vector: the declared one, checked at construction,
+        or the one solved from P, checked for detailed balance once."""
+        if self.stationary is not None:
+            return self.stationary
         vals, vecs = np.linalg.eig(self.transition.T)
         idx = int(np.argmin(np.abs(vals - 1)))
         if abs(vals[idx] - 1) > 1e-8:
@@ -116,6 +118,19 @@ class MarkovChain:
         _check_reversible(self.transition, pi)
         pi.flags.writeable = False
         return pi
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """P's eigenvalues. With pi > 0 everywhere, detailed balance makes
+        D = sqrt(P * P^T) equal to diag(sqrt(pi)) P diag(1/sqrt(pi)), so they
+        are D's, real and descending. A pi with zeros falls back to eig(P),
+        unsorted and possibly with a complex pair (a transient cycle): the
+        transient block of P need not be symmetrisable."""
+        if (self.pi > 0).all():
+            return self._discriminant_spectrum
+        vals = np.linalg.eigvals(self.transition)
+        vals.flags.writeable = False
+        return vals
 
     @cached_property
     def _discriminant_spectrum(self) -> np.ndarray:
@@ -466,7 +481,7 @@ def build_metropolis_matrix(mu, proposal: str = "single-bit-flip") -> MarkovChai
     """Dense Metropolis transition matrix for the target weights mu.
 
     Off-diagonal entries are q(x, y) * min(1, mu_y / mu_x) and the diagonal
-    absorbs the remainder; the normalized weights are attached as the
+    absorbs the remainder, clipped at 0; the normalized weights are attached as the
     stationary distribution, which also forces the detailed-balance check.
     """
     mu = np.asarray(mu, dtype=float)
@@ -494,46 +509,28 @@ def build_metropolis_matrix(mu, proposal: str = "single-bit-flip") -> MarkovChai
     accept[np.isnan(accept)] = 1.0  # 0/0 pairs carry no stationary weight
     p = q * accept
     np.fill_diagonal(p, 0.0)
-    np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+    # n_bits accepted flips of fl(1/n_bits) each can sum to 1 + 2^-52.
+    np.fill_diagonal(p, np.maximum(1.0 - p.sum(axis=1), 0.0))
     return MarkovChain(p, mu / mu.sum())
 
 
 def chain_eigenvalues(chain: MarkovChain) -> np.ndarray:
-    """Real eigenvalues of a reversible chain, descending.
-
-    With pi > 0 everywhere, detailed balance makes the discriminant
-    D = sqrt(P * P^T) equal to diag(sqrt(pi)) P diag(1/sqrt(pi)), so P's
-    eigenvalues are D's: one symmetric eigenproblem per chain, shared with
-    discriminant_phase_gap. A pi with zeros falls back to eig(P), since the
-    transient block of P need not be symmetrisable and D's spectrum is then
-    not P's.
-    """
-    if (_stationary(chain) > 0).all():
-        return chain._discriminant_spectrum
-    vals = np.linalg.eigvals(chain.transition)
+    """Real eigenvalues of a reversible chain, descending; a complex pair in
+    MarkovChain.eigenvalues is a DomainError."""
+    vals = chain.eigenvalues
     if np.abs(vals.imag).max() > 1e-9:
         raise DomainError("reversible chain produced complex eigenvalues")
     return np.sort(vals.real)[::-1]
 
 
 def spectral_gap(chain: MarkovChain) -> float:
-    """delta = |lambda_1| - |lambda_2| over the eigenvalue magnitudes. With
-    zeros in pi it reads eig(P), whose transient block may have a complex
+    """delta = |lambda_1| - |lambda_2| over the magnitudes of
+    MarkovChain.eigenvalues, which with zeros in pi may include a complex
     pair (a transient cycle): delta needs only magnitudes."""
     if chain.dim < 2:
         raise DomainError(f"a spectral gap needs at least two states, got {chain.dim}")
-    full = (_stationary(chain) > 0).all()
-    vals = chain._discriminant_spectrum if full else np.linalg.eigvals(chain.transition)
-    mags = np.sort(np.abs(vals))[::-1]
+    mags = np.sort(np.abs(chain.eigenvalues))[::-1]
     return float(mags[0] - mags[1])
-
-
-def _stationary(chain: MarkovChain) -> np.ndarray:
-    """The chain's pi, declared or solved; either way checked for detailed
-    balance, a declared pi at construction and a solved one when solved."""
-    if chain.stationary is not None:
-        return chain.stationary
-    return chain._solved_stationary
 
 
 def _check_reversible(p: np.ndarray, pi: np.ndarray) -> None:
@@ -587,16 +584,14 @@ def szegedy_walk_operator(chain: MarkovChain) -> UnitaryOperator:
             f"dense walk of a {n}-state chain needs {need} bytes, "
             f"above the budget {MAX_DENSE_WALK_BYTES}"
         )
-    # Pi_A = A A^T is block diagonal, block x the outer product of
-    # sqrt(P[x, :]) with itself, and S moves row (x, y) to (y, x). So
-    # W[(y, x), (x, y')] = 2 sqrt(P[x, y]) sqrt(P[x, y']) - [y == y'] and every
-    # other entry is zero; the products are the ones A A^T forms.
-    root = np.sqrt(chain.transition)
-    w = np.zeros((n, n, n, n))  # indexed [y, x, x', y']
-    idx = np.arange(n)
-    w[:, idx, idx, :] = (2 * (root[:, :, None] * root[:, None, :])).transpose(1, 0, 2)
-    w[idx[:, None], idx, idx, idx[:, None]] -= 1.0
-    return UnitaryOperator(w.reshape(n * n, n * n))
+    a = _edge_space_isometries(chain)[0]
+    w = a @ a.T  # Pi_A
+    w *= 2
+    w[np.diag_indices_from(w)] -= 1.0
+    # S moves row (x, y) to (y, x). Rebinding w frees the unswapped array
+    # before the unitarity check allocates its own.
+    w = w.reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n)
+    return UnitaryOperator(w)
 
 
 def _invariant_subspace_basis(chain: MarkovChain) -> np.ndarray:
@@ -651,7 +646,7 @@ def discriminant_phase_gap(chain: MarkovChain) -> float:
     1, and then the top eigenvalue is a nonzero phase too.
     """
     check_walk_size(chain.dim)
-    _stationary(chain)  # rejects a chain that is not reversible
+    chain.pi  # rejects a chain that is not reversible
     gap = float(np.arccos(np.clip(chain._discriminant_spectrum[1], -1.0, 1.0)))
     if gap == 0.0:
         raise DomainError("walk spectrum is degenerate: no nonzero eigenphase")

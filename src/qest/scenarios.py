@@ -144,7 +144,8 @@ def choose_dt(a_max: float, n_probe: int) -> float:
     if not np.isfinite(a_max) or a_max <= 0:
         raise DomainError(f"a_max must be finite and > 0, got {a_max}")
     n = 2 ** n_probe
-    return 2 * np.pi * (n - 1) / (n * a_max)
+    # Dividing by the power of two n first is exact and cannot overflow.
+    return 2 * np.pi * (n - 1) / n / a_max
 
 
 def shift_nonnegative(h: HermitianOperator):
@@ -313,7 +314,11 @@ def run_scenario_partition(spec: ScenarioSpec, mode: str = "exact-mu") -> Estima
     run = run_chain(mu, spec.chain_config())
     counts = np.bincount(run.samples)
     freqs = counts / len(run.samples)
-    point, se = _mean_and_error(mu[run.samples] / freqs[run.samples])
+    with np.errstate(over="ignore"):
+        terms = mu[run.samples] / freqs[run.samples]
+    if not np.isfinite(terms).all():
+        raise DomainError("a mu/frequency term overflows: Z_g is beyond the float range")
+    point, se = _mean_and_error(terms)
     diag = _chain_diagnostics(mu, run, counts, spec)
     return EstimateReport(point, se, spec.n_sam, mode, diag)
 
@@ -461,10 +466,12 @@ def estimate_diagonal(
     """<x0| V^dag f(A) V |x0> three ways, as a report block.
 
     exact_mu and circuit_mu are mu_table's closed form at x0, clipped at 0
-    as there, so diag and mean read the same element. The shots
-    block draws the ancilla-zero count of n_sam measurements from its exact
-    law, binomial at p0 = gamma * circuit_mu. leakage gives, per eigenvalue,
-    its probe grid position and the probe_mass off its nearest slot.
+    as there. They equal mu_table's element only up to rounding: a sum over
+    one column here, a matrix product there, each tested against its own
+    oracle. The shots block draws the ancilla-zero count of n_sam
+    measurements from its exact law, binomial at p0 = gamma * circuit_mu.
+    leakage gives, per eigenvalue, its probe grid position and the
+    probe_mass off its nearest slot.
     """
     if n_sam < 1:
         raise DomainError(f"n_sam must be >= 1, got {n_sam}")

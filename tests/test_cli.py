@@ -206,6 +206,15 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
     assert json.loads(out)["manifest"]["seed"] == 9
 
 
+@pytest.mark.parametrize("key, flag", [("seed", "--seed"), ("n_sam", "--n-sam")])
+def test_flag_replaces_only_a_valid_key(key, flag, tmp_path, capsys):
+    path = mean_config(tmp_path, **{key: "abc"})
+    code, out, err = run_cli(["mean", "--config", path, flag, "100"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:") and repr(key) in err
+    assert err.count("\n") == 1
+
+
 # -------------------------------------------------------------- mean
 
 def test_mean_fixture_with_oracle(tmp_path, capsys):
@@ -250,6 +259,16 @@ def test_standard_error_of_huge_values_is_finite(command, overrides, tmp_path, c
     blocks = [report["report"]] if command == "mean" else [report["z_g"], report["trace_ratio"]]
     for block in blocks:
         assert np.isfinite(block["standard_error"]) and block["standard_error"] > 1e290
+
+
+def test_partition_beyond_the_float_range_is_domain_error(tmp_path, capsys):
+    # Z_g = 2 * 1.7e308 for H = diag(0, 1) at beta = 0: no float holds it.
+    path = partition_config(tmp_path, g=[1.7e308], beta=0.0, n_sam=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["partition", "--config", path], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error:") and err.count("\n") == 1
 
 
 def test_mean_rejects_kind_c_config(tmp_path, capsys):
@@ -1077,6 +1096,32 @@ STRAY_KEY_SITES = {
     ),
     "compile-mux-angles-object": ("compile-mux", {}, ()),
 }
+
+
+# Lists of the wrong shape: the message names the key.
+WRONG_SHAPE = {
+    "g_coeffs-scalar": (
+        "diag", diag_config, {"f": {"family": "weighted_exponential", "g_coeffs": 5.0}}, "g_coeffs"
+    ),
+    "grid-scalar": ("diag", diag_config, table(0.0, [1.0]), "grid"),
+    "g-nested": ("partition", partition_config, {"g": [[1.0]]}, "g"),
+    "eigenvalues-ragged": (
+        "mean", mean_config, {"observable": {"eigenvalues": [[0.0], [1.0, 2.0]], "basis_changer": I2}},
+        "eigenvalues",
+    ),
+    "transition-ragged": (
+        "walk-gap", walk_config, {"chains": [{"transition": [[1.0], [0.5, 0.5]]}]}, "transition"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPE))
+def test_wrong_shape_is_config_error_naming_its_key(case, tmp_path, capsys):
+    command, make, cfg, key = WRONG_SHAPE[case]
+    code, out, err = run_cli([command, "--config", make(tmp_path, **cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:") and repr(key) in err
+    assert err.count("\n") == 1
 
 
 def stray_key_config(tmp_path, case, stray):

@@ -74,6 +74,7 @@ BOUNDARY_VALUES = [
     -math.inf,
     math.nan,
     1e300,
+    1.7e308,
     1e-320,
     [],
     10 ** 400,

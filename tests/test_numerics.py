@@ -86,6 +86,17 @@ def test_hermitian_accepts_rounding_level_asymmetry():
     HermitianOperator(m)
 
 
+def test_hermitian_near_the_float_limit_needs_no_warning():
+    # A - A^dag overflows to inf for the first matrix, and so would
+    # m + m^dag in from_spectrum for the second's reconstruction.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not Hermitian"):
+            HermitianOperator(np.array([[1.7e308j, 0.0], [0.0, 0.0]]))
+        dec = SpectralDecomposition([0.0, 1.7e308], UnitaryOperator(np.eye(2)))
+        assert HermitianOperator.from_spectrum(dec).entries[1, 1] == 1.7e308
+
+
 @pytest.mark.parametrize("dim", [1, 3, 5, 6])
 def test_hermitian_rejects_non_power_of_two(dim):
     with pytest.raises(DomainError):

@@ -84,6 +84,17 @@ def test_build_two_state_hand_values():
     np.testing.assert_allclose(chain.stationary, [2 / 3, 1 / 3], atol=1e-12)
 
 
+@pytest.mark.parametrize("n_bits", range(1, 12))
+def test_build_at_a_strict_local_minimum(n_bits):
+    # State 0 accepts each of its n_bits flips with probability fl(1/n_bits);
+    # at 9 and 11 bits these sum to 1 + 2^-52, and 1 minus that is not a
+    # stay probability.
+    mu = np.ones(2 ** n_bits)
+    mu[0] = 0.5
+    p = build_metropolis_matrix(mu, "single-bit-flip").transition
+    assert p.min() == 0.0 and p[0, 0] <= 2.0 ** -52
+
+
 def test_build_rejects_bad_weights():
     with pytest.raises(DomainError):
         build_metropolis_matrix(np.zeros(4), "uniform")
@@ -1002,6 +1013,20 @@ def test_dense_walk_budget_raises_before_allocating(dim):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20  # the walk would need 32 N^4 bytes: 571 MB at N = 65
+
+
+def test_dense_walk_peak_memory_is_its_budget_per_entry():
+    # The walk, its complex copy and the Gram product of the unitarity check;
+    # the N^2 x N isometry adds 8 / N bytes per entry.
+    n = 32
+    chain = random_reversible_chain(np.random.default_rng(1316), n, "uniform")
+    tracemalloc.start()
+    try:
+        szegedy_walk_operator(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (DENSE_WALK_BYTES_PER_ENTRY + 0.5) * n ** 4
 
 
 def test_stationary_vector_is_solved_once_per_chain(monkeypatch):

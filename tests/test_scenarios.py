@@ -108,6 +108,20 @@ def test_choose_dt_keeps_indices_in_range():
         assert a_max * dt * n / (2 * np.pi) <= n - 1 + 1e-12
 
 
+def test_choose_dt_keeps_its_bits_up_to_the_float_limit():
+    # Dividing by the power of two n before a_max is exact: the same bits as
+    # dividing by n * a_max wherever that product does not overflow.
+    rng = np.random.default_rng(137)
+    for _ in range(2000):
+        a_max = float(10.0 ** rng.uniform(-300, 300))
+        n_probe = int(rng.integers(1, 14))
+        n = 2 ** n_probe
+        assert choose_dt(a_max, n_probe) == 2 * np.pi * (n - 1) / (n * a_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 0 < choose_dt(1.7e308, 4) < np.inf
+
+
 def test_choose_dt_rejects_nonpositive():
     with pytest.raises(DomainError):
         choose_dt(0.0, 2)
@@ -275,6 +289,18 @@ def test_mean_diagnostics_present():
     report = run_scenario_mean(spec_b_fixture(n_sam=2000, seed=5))
     for key in ("acceptance_rate", "visitation_coverage", "delta"):
         assert key in report.diagnostics
+
+
+def test_mean_diagnostics_have_delta_at_512_states():
+    # The state of least mu accepts its nine flips of fl(1/9) each, which
+    # sum to 1 + 2^-52; its stay probability is clipped at 0.
+    energies = np.linspace(0.0, 3.0, 512)
+    spec = spec_b_fixture(
+        n_sam=200,
+        hamiltonian=HermitianOperator(np.diag(energies)),
+        observable=diag_observable(energies),
+    )
+    assert run_scenario_mean(spec).diagnostics["delta"] > 0
 
 
 def test_mean_rejects_kind_c():
