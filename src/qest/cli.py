@@ -22,6 +22,7 @@ import datetime
 import functools
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -226,8 +227,13 @@ def _scenario(cfg: dict, base: Path, seed: int) -> ScenarioSpec:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write text to out_path, or to stdout without one; an out_path that
+    cannot be written is a config error naming it."""
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -326,7 +332,7 @@ def _chains(cfg: dict, base: Path, seed: int):
     chains = [_chain(item, base) for item in items]
     rand = _take(cfg, "random", default=None)
     n_chains, dims = 0, []
-    if rand:
+    if rand is not None:
         if not isinstance(rand, dict):
             raise ConfigError("'random' must be an object")
         n_chains = _take(rand, "n_chains", int, 10)
@@ -391,7 +397,11 @@ def _load_angles(path: str) -> list:
         raise ConfigError(f"angle count must be a power of two, got {len(obj)}")
     if len(obj) > MAX_MUX_ANGLES:
         raise ConfigError(f"{len(obj)} angles exceed the cap {MAX_MUX_ANGLES}")
-    return [json_number(x, float, "an angle") for x in obj]
+    angles = [json_number(x, float, "an angle") for x in obj]
+    for i, angle in enumerate(angles):
+        if not math.isfinite(angle):
+            raise ConfigError(f"angle {i} must be finite, got {angle!r}")
+    return angles
 
 
 def cmd_compile_mux(args) -> int:

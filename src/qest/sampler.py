@@ -355,57 +355,37 @@ class _WeightWalk:
     _SMALLEST_FLOAT instead of 0: a positive weight then gives a ratio of at
     least 1 and is taken, as inf is, and a zero weight gives 0 and is
     refused, as the undefined 0/0 is.
-
-    For single-bit-flip, state x's ratios w[x ^ 2^b] / w[x] over the n_bits
-    bits b are computed once, when x is first occupied.
     """
 
-    __slots__ = ("w", "n_bits", "rows", "x", "n_accepted")
+    __slots__ = ("w", "n_bits", "x", "n_accepted")
 
     def __init__(self, weights: list, n_bits: int):
         self.w, self.n_bits = weights, n_bits  # n_bits 0: uniform
-        self.rows = [None] * len(weights) if n_bits else None
         self.x = self.n_accepted = 0
 
     def advance(self, props: np.ndarray, uniform: np.ndarray) -> list:
         """Take one step per draw; the state after each step, in order."""
-        props, uniform = props.tolist(), uniform.tolist()
-        states = []
-        if self.n_bits:
-            self._flip_steps(props, uniform, states)
-        else:
-            self._uniform_steps(props, uniform, states)
-        return states
-
-    def _uniform_steps(self, props: list, uniform: list, states: list) -> None:
         w, x, n_accepted = self.w, self.x, self.n_accepted
         wx = w[x] or _SMALLEST_FLOAT
+        states = []
         append = states.append
-        for y, u in zip(props, uniform):
-            if u < w[y] / wx:  # u < min(1, r), as u < 1; y == x counts as accepted
-                x = y
-                wx = w[y]
-                n_accepted += 1
-            append(x)
+        if self.n_bits:
+            for flip, u in zip((np.uint64(1) << props).tolist(), uniform.tolist()):
+                y = x ^ flip
+                if u < w[y] / wx:
+                    x = y
+                    wx = w[y]
+                    n_accepted += 1
+                append(x)
+        else:
+            for y, u in zip(props.tolist(), uniform.tolist()):
+                if u < w[y] / wx:  # u < min(1, r), as u < 1; y == x counts as accepted
+                    x = y
+                    wx = w[y]
+                    n_accepted += 1
+                append(x)
         self.x, self.n_accepted = x, n_accepted
-
-    def _flip_steps(self, bits: list, uniform: list, states: list) -> None:
-        rows, x, n_accepted = self.rows, self.x, self.n_accepted
-        row = rows[x] or self._row(x)
-        append = states.append
-        for b, u in zip(bits, uniform):
-            if u < row[b]:
-                x ^= 1 << b
-                row = rows[x] or self._row(x)
-                n_accepted += 1
-            append(x)
-        self.x, self.n_accepted = x, n_accepted
-
-    def _row(self, x: int) -> list:
-        w = self.w
-        wx = w[x] or _SMALLEST_FLOAT
-        row = self.rows[x] = [w[x ^ (1 << b)] / wx for b in range(self.n_bits)]
-        return row
+        return states
 
 
 def _use_table(n_choices: int, dim: int, total: int) -> bool:

@@ -457,6 +457,21 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert report["manifest"]["output_path"] == str(out_path)
 
 
+# An --out path that cannot be written used to end in a traceback (exit 1).
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command", ["mean", "compile-mux"])
+def test_unwritable_out_is_config_error(command, target, tmp_path, capsys):
+    config = {
+        "mean": lambda: mean_config(tmp_path, n_sam=200),
+        "compile-mux": lambda: write_json(tmp_path / "angles.json", [0.1, 0.2]),
+    }[command]()
+    out_path = str(tmp_path if target == "directory" else tmp_path / "missing" / "x.txt")
+    code, out, err = run_cli([command, "--config", config, "--out", out_path], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: cannot write output {out_path!r}: ")
+    assert err.count("\n") == 1
+
+
 # ------------------------------------------------------------- walk-gap
 
 def test_walk_gap_random_sweep(tmp_path, capsys):
@@ -527,6 +542,23 @@ def test_walk_gap_empty_config(tmp_path, capsys):
     path = write_json(tmp_path / "walk.json", {})
     code, _, _ = run_cli(["walk-gap", "--config", path], capsys)
     assert code == 2
+
+
+def test_walk_gap_empty_random_object_takes_the_defaults(tmp_path, capsys):
+    code, out, _ = run_cli(["walk-gap", "--config", walk_config(tmp_path, random={})], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+    assert len(rows) == 10
+    assert all(row[3] == "ok" for row in rows)
+
+
+# A falsy 'random' used to be ignored next to explicit chains (exit 0).
+@pytest.mark.parametrize("rand", [False, [], 0], ids=["false", "empty-list", "zero"])
+def test_walk_gap_random_must_be_an_object(rand, tmp_path, capsys):
+    chains = [{"transition": [[0.75, 0.25], [0.5, 0.5]]}]
+    path = walk_config(tmp_path, chains=chains, random=rand)
+    code, out, err = run_cli(["walk-gap", "--config", path], capsys)
+    assert (code, out, err) == (2, "", "config error: 'random' must be an object\n")
 
 
 # ---------------------------------------------------------- compile-mux
@@ -606,6 +638,24 @@ def test_compile_mux_bad_length(tmp_path, capsys):
     code, _, err = run_cli(["compile-mux", "--config", str(path)], capsys)
     assert code == 2
     assert "power of two" in err
+
+
+# Non-finite angles used to exit 3 (domain error) without naming the angle.
+@pytest.mark.parametrize("text, index, bad", [
+    ("[0.1, NaN]", 1, "nan"),
+    ('{"angles": [Infinity, 0.1]}', 0, "inf"),
+    ("[0.1, 0.2, 0.3, -Infinity]", 3, "-inf"),
+    ("[0.1, 1e400]", 1, "inf"),
+    ("0.1 nan", 1, "nan"),
+    ("inf 0.1", 0, "inf"),
+    ("0.1 1e400", 1, "inf"),
+], ids=["json-nan", "json-inf", "json-minus-inf", "json-huge", "text-nan", "text-inf", "text-huge"])
+def test_compile_mux_non_finite_angle_is_config_error(text, index, bad, tmp_path, capsys):
+    path = tmp_path / "angles.txt"
+    path.write_text(text)
+    code, out, err = run_cli(["compile-mux", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"config error: angle {index} must be finite, got {bad}\n"
 
 
 class Compiled(Exception):

@@ -507,7 +507,7 @@ def test_blocked_kernel_raises_like_per_step(case):
     assert got[0] is SamplerError
 
 
-WALKS = {"table": sampler._TableWalk, "rows": sampler._WeightWalk}
+WALKS = {"table": sampler._TableWalk, "weights": sampler._WeightWalk}
 
 
 def force_walk(monkeypatch, walk: str) -> list:
@@ -561,11 +561,11 @@ def test_size_rule_picks_the_table_from_its_entry_count(monkeypatch, proposal, d
     # The table has n_choices * (dim + 1) * dim entries: 1088, 576, 2, 24960.
     entries = n_choices * (dim + 1) * dim
     weights = np.linspace(1.0, 2.0, dim)
-    for total, want in ((entries, "table"), (entries - 1, "rows"), (entries + 1, "table")):
+    for total, want in ((entries, "table"), (entries - 1, "weights"), (entries + 1, "table")):
         built = record_walks(monkeypatch)
         run_chain(weights, ChainConfig(1, 5, proposal, burn_in=total - 1))
         assert built == [want], total
-    # The 3000-step chain of a 64-state `mean --mode shots` takes the rows.
+    # The 3000-step chain of a 64-state `mean --mode shots` reads the weights.
     assert sampler._use_table(6, 64, 3000) is False
     # The cap on the table's size: 10 * 1025 * 1024 entries, above 2**22.
     assert sampler._use_table(10, 1024, MAX_CHAIN_STEPS) is False
