@@ -8,7 +8,7 @@ Subcommands
     compile-mux  multiplexor expansion into an RY/CNOT gate file
 
 Exit codes: 0 success, 2 config error, 3 numerical or domain error,
-4 sampler failure. Every output embeds the RunManifest of the run; for the
+4 sampler failure. Every output embeds the run manifest; for the
 line-oriented formats (gate files, CSV) the manifest rides in leading
 comment lines starting with '#'.
 """
@@ -36,8 +36,8 @@ from .numerics import (
     HermitianOperator,
     SpectralDecomposition,
     UnitaryOperator,
+    json_array,
     json_number,
-    json_numbers,
     json_vector,
     matrix_from_json,
 )
@@ -74,18 +74,6 @@ class ConfigError(Exception):
     """The run configuration is missing, malformed, or inconsistent."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Provenance block embedded in every output."""
-
-    command: str
-    config_path: str
-    seed: int
-    output_path: str
-    timestamp: str
-    tool_version: str
-
-
 def _load(path, what: str, fallback=None):
     """The JSON document in a file, or fallback(text) for text that is not
     JSON when a fallback is given. A file that cannot be read, is not UTF-8
@@ -110,9 +98,11 @@ def _seed(seed: int, name: str = "seed") -> int:
     return seed
 
 
-def _manifest(args, command: str, seed: int) -> RunManifest:
+def _manifest(args, command: str, seed: int) -> dict:
+    """The provenance block embedded in every output."""
     now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return RunManifest(command, args.config, seed, args.out or "-", now, __version__)
+    return {"command": command, "config_path": args.config, "seed": seed,
+            "output_path": args.out or "-", "timestamp": now, "tool_version": __version__}
 
 
 def _take(obj: dict, key: str, kind=None, default=...):
@@ -129,11 +119,7 @@ def _take(obj: dict, key: str, kind=None, default=...):
     if kind is None or value == default == "auto":
         return value
     if kind is np.ndarray:
-        value = json_numbers(value, repr(key))
-        try:
-            return value if value is None else np.array(value, dtype=float)
-        except ValueError as exc:  # ragged lists; numpy's message names no key
-            raise ConfigError(f"{key!r} must be a rectangular array of numbers") from exc
+        return None if value is None else json_array(value, repr(key))
     return json_number(value, kind, repr(key))
 
 
@@ -160,6 +146,7 @@ def _start(args, command: str, read):
     --seed and --n-sam flags replace the keys they name, and the run
     manifest. A key a flag replaces must still hold an integer; any key the
     read leaves in the config is a config error."""
+    _check_out(args.out)
     cfg = _load(args.config, "config")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
@@ -226,6 +213,14 @@ def _scenario(cfg: dict, base: Path, seed: int) -> ScenarioSpec:
     return ScenarioSpec(kind=kind, seed=seed, **spec)
 
 
+def _check_out(out_path: str | None) -> None:
+    """Reject, before the run does any work, an out_path that is a directory
+    or whose parent is not one; _emit reports what this cannot see, such as
+    permissions."""
+    if out_path and (Path(out_path).is_dir() or not Path(out_path).parent.is_dir()):
+        raise ConfigError(f"cannot write output {out_path!r}: not a file in an existing directory")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     """Write text to out_path, or to stdout without one; an out_path that
     cannot be written is a config error naming it."""
@@ -268,12 +263,12 @@ def cmd_diag(args) -> int:
     n_probe, n_sam = opts.pop("n_probe"), opts.pop("n_sam")
     circuit = circuit_config(a, f, n_probe, **opts)
     report = {
-        "manifest": dataclasses.asdict(manifest),
+        "manifest": manifest,
         "x0": x0,
         "dt": circuit.dt,
         "gamma": circuit.gamma,
         "n_probe": n_probe,
-        **estimate_diagonal(a, v, x0, circuit, n_sam, manifest.seed),
+        **estimate_diagonal(a, v, x0, circuit, n_sam, manifest["seed"]),
     }
     _emit_json(report, args.out)
     return 0
@@ -284,7 +279,7 @@ def cmd_mean(args) -> int:
     if spec.kind not in ("A", "B"):
         raise ConfigError("the mean command needs a kind A or B config")
     report = run_scenario_mean(spec, _scenario_mode(args.mode))
-    out = {"manifest": dataclasses.asdict(manifest), "report": dataclasses.asdict(report)}
+    out = {"manifest": manifest, "report": dataclasses.asdict(report)}
     if spec.dim <= ORACLE_DIM_CAP:
         out["oracle"] = exact_oracle(spec, report)
     _emit_json(out, args.out)
@@ -297,7 +292,7 @@ def cmd_partition(args) -> int:
         raise ConfigError("the partition command needs a kind C config")
     zg, z1, ratio = estimate_partition(spec, _scenario_mode(args.mode))
     out = {
-        "manifest": dataclasses.asdict(manifest),
+        "manifest": manifest,
         "z_g": dataclasses.asdict(zg),
         "z_1": dataclasses.asdict(z1),
         "trace_ratio": dataclasses.asdict(ratio),
@@ -362,7 +357,7 @@ def _chains(cfg: dict, base: Path, seed: int):
 
 def cmd_walk_gap(args) -> int:
     chains, manifest = _start(args, "walk-gap", _chains)
-    lines = [f"# manifest: {json.dumps(dataclasses.asdict(manifest), sort_keys=True)}"]
+    lines = [f"# manifest: {json.dumps(manifest, sort_keys=True)}"]
     lines.append("delta,phase_gap,ratio,status")
     for chain in chains:
         try:
@@ -405,11 +400,12 @@ def _load_angles(path: str) -> list:
 
 
 def cmd_compile_mux(args) -> int:
+    _check_out(args.out)
     with _reading():
         angles = _load_angles(args.config)
     manifest = _manifest(args, "compile-mux", 0)  # the compiler draws nothing
     seq = expand_multiplexor(angles)
-    header = f"# manifest: {json.dumps(dataclasses.asdict(manifest), sort_keys=True)}\n"
+    header = f"# manifest: {json.dumps(manifest, sort_keys=True)}\n"
     header += f"# qubits: {seq.n_qubits} gates: {len(seq)}\n"
     _emit(header + seq.to_text(), args.out)
     deviation = multiplexor_deviation(seq, angles)

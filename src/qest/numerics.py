@@ -74,6 +74,17 @@ def json_vector(value, name: str):
     return json_numbers(value, name)
 
 
+def json_array(value, name: str) -> np.ndarray:
+    """value, a JSON number or lists of them of equal length at each depth,
+    as a float array once json_numbers passes it; ragged lists raise
+    DomainError naming it."""
+    value = json_numbers(value, name)
+    try:
+        return np.array(value, dtype=float)
+    except ValueError as exc:  # ragged lists; numpy's message names no key
+        raise DomainError(f"{name} must be a rectangular array of numbers") from exc
+
+
 def _as_complex_matrix(entries) -> np.ndarray:
     m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -351,18 +362,11 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     """The complex matrix of a {"dim", "re", "im"} object; an error in it
     names the part it is in."""
-    parts = []
     try:
         dim = json_number(obj["dim"], int, "'dim'")
-        for key in ("re", "im"):
-            part = json_numbers(obj[key], repr(key))
-            try:
-                parts.append(np.array(part, dtype=float))
-            except ValueError as exc:  # ragged lists; numpy's message names no part
-                raise DomainError(f"{key!r} must be a rectangular array of numbers") from exc
+        re, im = (json_array(obj[key], repr(key)) for key in ("re", "im"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed matrix object: {exc}") from exc
-    re, im = parts
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DomainError(
             f"matrix shape {re.shape}/{im.shape} does not match dim {dim}"

@@ -10,7 +10,6 @@ operator, which is kept as its oracle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -195,20 +194,19 @@ def _bit_count(dim: int) -> int:
 class _DrawStream:
     """Proposal indices and uniforms of a Metropolis run, a block at a time.
 
-    Decodes raw PCG64 words exactly as the per-step scalar calls
-    rng.integers(0, n) then rng.random() consume them, so a blocked chain
-    follows the same trajectory as a step-by-step one:
-
-    - integers(0, n) takes a 32-bit half: the buffered high half of the last
-      split word if there is one, else the low half of a fresh word, whose
-      high half is buffered. A half v is rejected and redrawn while
-      (v * n) mod 2**32 < 2**32 % n (Lemire); the value is (v * n) >> 32.
-      integers(0, 1) draws nothing.
-    - random() takes a whole word w and returns (w >> 11) * 2**-53; it leaves
-      the buffered half alone.
+    Yields the draws of the per-step scalar calls rng.integers(0, n) then
+    rng.random(), so a blocked chain follows the same trajectory as a
+    step-by-step one. integers(0, n) takes a 32-bit half v: the buffered high
+    half of the last split word if there is one, else the low half of a fresh
+    word, whose high half is buffered; its value is (v * n) >> 32, and
+    integers(0, 1) draws nothing. random() takes a whole word w and returns
+    (w >> 11) * 2**-53. take decodes the raw words of a block in which numpy
+    rejects no half, that is (v * n) mod 2**32 >= 2**32 % n for every v
+    (Lemire); numpy's own scalar calls draw a block with a rejection.
     """
 
     def __init__(self, rng: np.random.Generator, n: int):
+        self._rng = rng
         self._raw = rng.bit_generator.random_raw
         self._n = n
         self._threshold = (1 << 32) % n
@@ -237,32 +235,20 @@ class _DrawStream:
         self._half = int(split[-1] >> np.uint64(32)) if m % 2 else None
         scaled = halves * np.uint64(self._n)
         if self._threshold and ((scaled & _LOW32) < self._threshold).any():
-            # A rejection (about 1e-9 per draw) shifts every later draw.
-            self._half = start_half
-            return self._take_stepwise(k, words.tolist())
+            # A rejection (about 1e-9 per draw) shifts every later draw:
+            # rewind the block's words and let numpy draw it step by step,
+            # from and into the stream's buffered half.
+            bits = self._rng.bit_generator
+            bits.advance(-len(words))
+            state = bits.state
+            state["has_uint32"], state["uinteger"] = lead, start_half or 0
+            bits.state = state
+            draws = [(self._rng.integers(0, self._n), self._rng.random()) for _ in range(k)]
+            state = bits.state
+            self._half = state["uinteger"] if state["has_uint32"] else None
+            props, uniform = zip(*draws)
+            return np.array(props, np.uint64), np.array(uniform)
         return scaled >> np.uint64(32), _uniforms(uniform)
-
-    def _take_stepwise(self, k: int, words: list):
-        """take(k) one draw at a time, starting from the block's words.
-
-        A block with a rejection consumes every word the rejection-free
-        layout fetched and then some, so no fetched word is left over.
-        """
-        words = itertools.chain(words, iter(self._raw, None))
-        props, uniform = [], []
-        for _ in range(k):
-            while True:
-                if self._half is None:
-                    w = next(words)
-                    v, self._half = w & _LOW32, w >> 32
-                else:
-                    v, self._half = self._half, None
-                scaled = v * self._n
-                if scaled & _LOW32 >= self._threshold:
-                    break
-            props.append(scaled >> 32)
-            uniform.append(next(words))
-        return np.array(props, np.uint64), _uniforms(np.array(uniform, np.uint64))
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:

@@ -472,6 +472,26 @@ def test_unwritable_out_is_config_error(command, target, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+# An --out that cannot be written fails before the work, not after it.
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command, work", [("mean", "run_scenario_mean"),
+                                           ("compile-mux", "expand_multiplexor")])
+def test_unwritable_out_fails_before_the_run(command, work, target, tmp_path, capsys,
+                                             monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(cli, work, refuse)
+    config = {
+        "mean": lambda: mean_config(tmp_path, n_sam=200),
+        "compile-mux": lambda: write_json(tmp_path / "angles.json", [0.1, 0.2]),
+    }[command]()
+    out_path = str(tmp_path if target == "directory" else tmp_path / "missing" / "x.txt")
+    code, out, err = run_cli([command, "--config", config, "--out", out_path], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: cannot write output {out_path!r}: ")
+
+
 # ------------------------------------------------------------- walk-gap
 
 def test_walk_gap_random_sweep(tmp_path, capsys):

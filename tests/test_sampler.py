@@ -792,13 +792,16 @@ def pcg64_emitting(word: int, position: int) -> np.random.Generator:
 # (v * 6) mod 2**32 = 2 < 2**32 % 6 = 4: integers(0, 6) rejects the half v.
 REJECTED_HALF = 715827883
 
-# (raw word, its position): words 0 and 3 are split words (steps 0-1, 2-3);
-# the low half serves the even step, the high half the odd one.
+# (raw word, its position): words 0, 3 and 9 are split words (steps 0-1,
+# 2-3, 6-7); the low half serves the even step, the high half the odd one.
+# Word 9 is in the block of steps 5-8, which starts on a buffered half.
 REJECTION_CASES = {
     "even-step-0": (REJECTED_HALF | (7 << 32), 0),
     "odd-step-1": ((REJECTED_HALF << 32) | 5, 0),
     "even-step-2": (REJECTED_HALF | (9 << 32), 3),
     "odd-step-3": ((REJECTED_HALF << 32) | 11, 3),
+    "even-step-6": (REJECTED_HALF | (13 << 32), 9),
+    "odd-step-7": ((REJECTED_HALF << 32) | 13, 9),
 }
 
 
