@@ -214,10 +214,11 @@ def _scenario(cfg: dict, base: Path, seed: int) -> ScenarioSpec:
 
 
 def _check_out(out_path: str | None) -> None:
-    """Reject, before the run does any work, an out_path that is a directory
-    or whose parent is not one; _emit reports what this cannot see, such as
-    permissions."""
-    if out_path and (Path(out_path).is_dir() or not Path(out_path).parent.is_dir()):
+    """Reject, before the run does any work, an out_path that holds a NUL
+    byte, is a directory or whose parent is not one; _emit reports what this
+    cannot see, such as permissions."""
+    if out_path and ("\0" in out_path or Path(out_path).is_dir()
+                     or not Path(out_path).parent.is_dir()):
         raise ConfigError(f"cannot write output {out_path!r}: not a file in an existing directory")
 
 
@@ -227,7 +228,7 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         try:
             Path(out_path).write_text(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)

@@ -416,9 +416,11 @@ class _TableWalk:
         moved = below.T[:, :, None] >= np.arange(dim + 1)
         self.table = np.where(moved, target.T[:, :, None], states[:, None, None]).reshape(dim, -1).tolist()
         self.symbol = rank + (dim + 1) * np.arange(len(ratio))[:, None]
-        edges = np.searchsorted(levels, np.arange(_BUCKETS) / _BUCKETS, "right")
-        self.by_bucket = self.symbol[:, edges].ravel()  # [k * _BUCKETS + bucket]
-        scaled = levels * _BUCKETS
+        scaled = levels * _BUCKETS  # exact, as _BUCKETS is a power of two
+        # edges[b]: the levels <= b / _BUCKETS, those with ceil(scaled) <= b
+        edges = np.bincount(np.ceil(scaled).astype(np.intp), minlength=_BUCKETS + 1)
+        edges = np.cumsum(edges[:_BUCKETS])
+        self.by_bucket = np.take(self.symbol, edges, axis=1).ravel()  # [k * _BUCKETS + bucket]
         self.crowded = np.zeros(_BUCKETS, bool)
         self.crowded[scaled[scaled != np.floor(scaled)].astype(np.intp)] = True
         self.x = self.n_accepted = 0

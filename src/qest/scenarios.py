@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -109,6 +110,11 @@ class ScenarioSpec:
         if self.kind == "A":
             return self.rho.dim
         return self.hamiltonian.dim
+
+    @cached_property
+    def target(self) -> _ResolvedTarget:
+        """resolve_target(self), computed once per spec."""
+        return resolve_target(self)
 
     def chain_config(self) -> ChainConfig:
         return ChainConfig(
@@ -245,7 +251,7 @@ def mu_table(spec: ScenarioSpec, mode: str = "exact-mu") -> np.ndarray:
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
-    target = resolve_target(spec)
+    target = spec.target
     overlaps = _overlaps(target.a, target.v)
     if mode == "exact-mu":
         r = spectral_values(target.a, target.f)
@@ -283,16 +289,18 @@ def run_scenario_mean(spec: ScenarioSpec, mode: str = "exact-mu") -> EstimateRep
     """Estimate the observable mean for kind A or B.
 
     Samples the main-register distribution with Metropolis and averages the
-    observable eigenvalues along the trajectory. The standard error is the
-    naive sample-variance estimate over n_sam draws.
+    observable eigenvalues along the trajectory, read from the chain's visit
+    counts. The standard error is the naive sample-variance estimate over
+    n_sam draws.
     """
     if spec.kind not in ("A", "B"):
         raise DomainError("run_scenario_mean handles kinds A and B only")
     mu = mu_table(spec, mode)
     run = run_chain(mu, spec.chain_config())
+    counts = np.bincount(run.samples, minlength=mu.shape[0])
+    visited = np.flatnonzero(counts)
     omega_vals = np.asarray(spec.observable.eigenvalues)
-    point, se = _mean_and_error(omega_vals[run.samples])
-    counts = np.bincount(run.samples)
+    point, se = _mean_and_error(omega_vals[visited], counts[visited])
     diag = _chain_diagnostics(mu, run, counts, spec)
     return EstimateReport(point, se, spec.n_sam, mode, diag)
 
@@ -302,36 +310,42 @@ def run_scenario_partition(spec: ScenarioSpec, mode: str = "exact-mu") -> Estima
 
     Follows the frequency-reweighting recipe literally: each sample
     contributes mu at that point divided by the empirical frequency of the
-    point, and the estimate is the average contribution. States never
-    visited contribute nothing, which is unbiased exactly when their mu
-    vanishes and optimistic otherwise; visitation coverage is reported so
-    that regime is visible. When the Hamiltonian needed shifting, Z_g refers
-    to the shifted (nonnegative) spectrum.
+    point, and the estimate is the average contribution, read from the
+    chain's visit counts. States never visited contribute nothing, which is
+    unbiased exactly when their mu vanishes and optimistic otherwise;
+    visitation coverage is reported so that regime is visible. When the
+    Hamiltonian needed shifting, Z_g refers to the shifted (nonnegative)
+    spectrum.
     """
     if spec.kind != "C":
         raise DomainError("run_scenario_partition handles kind C only")
     mu = mu_table(spec, mode)
     run = run_chain(mu, spec.chain_config())
-    counts = np.bincount(run.samples)
-    freqs = counts / len(run.samples)
+    counts = np.bincount(run.samples, minlength=mu.shape[0])
+    visited = np.flatnonzero(counts)
     with np.errstate(over="ignore"):
-        terms = mu[run.samples] / freqs[run.samples]
+        terms = mu[visited] / (counts[visited] / len(run.samples))
     if not np.isfinite(terms).all():
         raise DomainError("a mu/frequency term overflows: Z_g is beyond the float range")
-    point, se = _mean_and_error(terms)
+    point, se = _mean_and_error(terms, counts[visited])
     diag = _chain_diagnostics(mu, run, counts, spec)
     return EstimateReport(point, se, spec.n_sam, mode, diag)
 
 
-def _mean_and_error(values: np.ndarray):
-    """Sample mean and naive standard error std(ddof=1) / sqrt(n), taken on
-    the values scaled by a power of two into (-1, 1), where their squares
-    cannot overflow. The scaling is exact: where the plain formula neither
-    overflows nor underflows, the results are the same bits."""
+def _mean_and_error(values: np.ndarray, counts: np.ndarray):
+    """Sample mean and naive standard error std(ddof=1) / sqrt(n) of n
+    samples, values[i] drawn counts[i] times: the per-sample formulas up to
+    rounding. They are taken on the values scaled by a power of two into
+    (-1, 1), where their squares cannot overflow. The scaling is exact: where
+    the plain formula neither overflows nor underflows, the results are the
+    same bits."""
+    n = int(counts.sum())
+    weights = counts.astype(float)
     _, exponent = math.frexp(float(np.max(np.abs(values))))
     scaled = np.ldexp(values, -exponent)
-    se = scaled.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
-    return float(np.ldexp(scaled.mean(), exponent)), float(np.ldexp(se, exponent))
+    mean = weights @ scaled / n
+    se = np.sqrt(weights @ (scaled - mean) ** 2 / (n - 1)) / np.sqrt(n) if n > 1 else 0.0
+    return float(np.ldexp(mean, exponent)), float(np.ldexp(se, exponent))
 
 
 def trace_ratio(zg: EstimateReport, z1: EstimateReport) -> EstimateReport:
@@ -437,7 +451,7 @@ def exact_oracle(spec: ScenarioSpec, report: EstimateReport | None = None) -> di
     if spec.kind == "A":
         rho = spec.rho
     else:
-        target = resolve_target(spec)
+        target = spec.target
         thermal = function_of_hermitian(target.a, target.f).entries
         rho = HermitianOperator(thermal / np.trace(thermal).real)
     exact = exact_mean(HermitianOperator.from_spectrum(spec.observable), rho)

@@ -457,15 +457,23 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert report["manifest"]["output_path"] == str(out_path)
 
 
+def _unwritable_out(target, tmp_path):
+    return str({
+        "directory": tmp_path,
+        "missing-parent": tmp_path / "missing" / "x.txt",
+        "nul-byte": tmp_path / "a\x00b.txt",
+    }[target])
+
+
 # An --out path that cannot be written used to end in a traceback (exit 1).
-@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent", "nul-byte"])
 @pytest.mark.parametrize("command", ["mean", "compile-mux"])
 def test_unwritable_out_is_config_error(command, target, tmp_path, capsys):
     config = {
         "mean": lambda: mean_config(tmp_path, n_sam=200),
         "compile-mux": lambda: write_json(tmp_path / "angles.json", [0.1, 0.2]),
     }[command]()
-    out_path = str(tmp_path if target == "directory" else tmp_path / "missing" / "x.txt")
+    out_path = _unwritable_out(target, tmp_path)
     code, out, err = run_cli([command, "--config", config, "--out", out_path], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"config error: cannot write output {out_path!r}: ")
@@ -473,7 +481,7 @@ def test_unwritable_out_is_config_error(command, target, tmp_path, capsys):
 
 
 # An --out that cannot be written fails before the work, not after it.
-@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent", "nul-byte"])
 @pytest.mark.parametrize("command, work", [("mean", "run_scenario_mean"),
                                            ("compile-mux", "expand_multiplexor")])
 def test_unwritable_out_fails_before_the_run(command, work, target, tmp_path, capsys,
@@ -486,10 +494,17 @@ def test_unwritable_out_fails_before_the_run(command, work, target, tmp_path, ca
         "mean": lambda: mean_config(tmp_path, n_sam=200),
         "compile-mux": lambda: write_json(tmp_path / "angles.json", [0.1, 0.2]),
     }[command]()
-    out_path = str(tmp_path if target == "directory" else tmp_path / "missing" / "x.txt")
+    out_path = _unwritable_out(target, tmp_path)
     code, out, err = run_cli([command, "--config", config, "--out", out_path], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"config error: cannot write output {out_path!r}: ")
+
+
+def test_emit_reports_a_nul_byte_path_as_config_error(tmp_path):
+    # open() raises ValueError, not OSError, for such a path.
+    out_path = str(tmp_path / "a\x00b.txt")
+    with pytest.raises(cli.ConfigError, match="cannot write output .*: embedded null byte"):
+        cli._emit("{}\n", out_path)
 
 
 # ------------------------------------------------------------- walk-gap

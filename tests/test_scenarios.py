@@ -682,21 +682,43 @@ def test_estimate_diagonal_validates_shot_arguments():
 # ------------------------------------------------------- standard error
 
 def test_mean_and_error_scaling_keeps_the_plain_bits():
+    # The plain counts-weighted formula, on the unscaled values.
     rng = np.random.default_rng(59)
     for _ in range(2000):
         n = int(rng.integers(1, 40))
         levels = rng.normal(size=4) * 10.0 ** rng.uniform(-100, 100)
-        values = rng.choice(levels, size=n)
-        se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        assert scenarios._mean_and_error(values) == (float(values.mean()), se)
+        values, counts = np.unique(rng.choice(levels, size=n), return_counts=True)
+        weights = counts.astype(float)
+        mean = weights @ values / n
+        se = float(np.sqrt(weights @ (values - mean) ** 2 / (n - 1)) / np.sqrt(n)) if n > 1 else 0.0
+        assert scenarios._mean_and_error(values, counts) == (float(mean), se)
+
+
+def test_mean_and_error_matches_the_per_sample_formulas():
+    rng = np.random.default_rng(61)
+    for trial in range(500):
+        size = int(rng.integers(1, 30))
+        values = rng.choice([-1, 1], size) * 10.0 ** rng.uniform(-100, 100, size)
+        counts = rng.integers(1, 10 ** 4 + 1, size)
+        if trial % 10 == 0:
+            values, counts = values[:1], np.array([1])
+        samples = np.repeat(values, counts)
+        point, se = scenarios._mean_and_error(values, counts)
+        tol = 1e-12 * np.max(np.abs(values))
+        assert abs(point - samples.mean()) <= tol
+        if len(samples) == 1:
+            assert se == 0.0
+        else:
+            assert abs(se - samples.std(ddof=1) / np.sqrt(len(samples))) <= tol
 
 
 def test_mean_and_error_neither_overflows_nor_underflows():
     # Plain std squares the first array's values to infinity and the
     # second's to zero.
+    ones = np.ones(4, np.intp)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        point, se = scenarios._mean_and_error(np.array([1e300, -1e300, 1e300, 1.0]))
+        point, se = scenarios._mean_and_error(np.array([1e300, -1e300, 1e300, 1.0]), ones)
         assert np.isfinite(point) and np.isfinite(se) and se > 1e299
-        point, se = scenarios._mean_and_error(np.array([1e-200, 3e-200]))
+        point, se = scenarios._mean_and_error(np.array([1e-200, 3e-200]), ones[:2])
         assert point == pytest.approx(2e-200) and se == pytest.approx(1e-200)
