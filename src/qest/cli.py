@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import datetime
 import functools
 import itertools
@@ -235,7 +234,13 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(obj: dict, out_path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
+    """Write obj as JSON; a value beyond the float range, which JSON cannot
+    hold, is a domain error and nothing is written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError("a report value is beyond the float range") from exc
+    _emit(text + "\n", out_path)
 
 
 def _scenario_mode(flag_mode: str) -> str:
@@ -280,7 +285,7 @@ def cmd_mean(args) -> int:
     if spec.kind not in ("A", "B"):
         raise ConfigError("the mean command needs a kind A or B config")
     report = run_scenario_mean(spec, _scenario_mode(args.mode))
-    out = {"manifest": manifest, "report": dataclasses.asdict(report)}
+    out = {"manifest": manifest, "report": report}
     if spec.dim <= ORACLE_DIM_CAP:
         out["oracle"] = exact_oracle(spec, report)
     _emit_json(out, args.out)
@@ -292,12 +297,7 @@ def cmd_partition(args) -> int:
     if spec.kind != "C":
         raise ConfigError("the partition command needs a kind C config")
     zg, z1, ratio = estimate_partition(spec, _scenario_mode(args.mode))
-    out = {
-        "manifest": manifest,
-        "z_g": dataclasses.asdict(zg),
-        "z_1": dataclasses.asdict(z1),
-        "trace_ratio": dataclasses.asdict(ratio),
-    }
+    out = {"manifest": manifest, "z_g": zg, "z_1": z1, "trace_ratio": ratio}
     if spec.dim <= ORACLE_DIM_CAP:
         out["oracle"] = exact_oracle(spec)
     _emit_json(out, args.out)

@@ -187,7 +187,10 @@ class SpectralDecomposition:
             raise DomainError("eigenvalue count does not match the basis dimension")
         if not np.all(np.isfinite(vals)):
             raise DomainError("eigenvalues must be finite")
-        if np.any(np.diff(vals) < -DEGENERACY_TOL):
+        # A difference that overflows reads +-inf and compares correctly.
+        with np.errstate(over="ignore"):
+            descending = np.any(np.diff(vals) < -DEGENERACY_TOL)
+        if descending:
             raise DomainError("eigenvalues are not in ascending order")
         vals.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
@@ -295,11 +298,14 @@ class FunctionSpec:
         """Raw family formula with no sign handling."""
         if self.family == "identity":
             return x.copy()
+        if self.family == "tabulated":
+            return self._lookup(x)
+        # beta * x may overflow: exp then gives 0, or inf, which evaluate rejects.
+        with np.errstate(over="ignore"):
+            decay = np.exp(-self.beta * x)
         if self.family == "exponential":
-            return np.exp(-self.beta * x)
-        if self.family == "weighted_exponential":
-            return np.polyval(self.g_coeffs[::-1], x) * np.exp(-self.beta * x)
-        return self._lookup(x)
+            return decay
+        return np.polyval(self.g_coeffs[::-1], x) * decay
 
     def evaluate(self, xi):
         """Evaluate on a scalar or array; rejects negative results.
@@ -404,19 +410,21 @@ def eigendecompose(op: HermitianOperator) -> SpectralDecomposition:
     vals, vecs = np.linalg.eigh(op.entries)
     cols = [_phase_fix(vecs[:, i]) for i in range(len(vals))]
 
+    def degeneracy_key(i):
+        c = cols[i]
+        return (_first_nonzero_index(c), tuple(np.round(c.view(float), 10)))
+
     order = list(range(len(vals)))
     start = 0
-    while start < len(vals):
-        stop = start + 1
-        while stop < len(vals) and vals[stop] - vals[start] <= DEGENERACY_TOL:
-            stop += 1
-        if stop - start > 1:
-            def degeneracy_key(i):
-                c = cols[i]
-                return (_first_nonzero_index(c),
-                        tuple(np.round(c.view(float), 10)))
-            order[start:stop] = sorted(order[start:stop], key=degeneracy_key)
-        start = stop
+    # A gap that overflows reads inf, which ends the group as it should.
+    with np.errstate(over="ignore"):
+        while start < len(vals):
+            stop = start + 1
+            while stop < len(vals) and vals[stop] - vals[start] <= DEGENERACY_TOL:
+                stop += 1
+            if stop - start > 1:
+                order[start:stop] = sorted(order[start:stop], key=degeneracy_key)
+            start = stop
 
     u = np.column_stack([cols[i] for i in order])
     return SpectralDecomposition(vals[order], UnitaryOperator(u))

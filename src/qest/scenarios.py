@@ -16,7 +16,7 @@ identical either way.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -124,17 +124,6 @@ class ScenarioSpec:
             burn_in=self.burn_in,
             thinning=self.thinning,
         )
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Point estimate with its naive standard error and run diagnostics."""
-
-    point_estimate: float
-    standard_error: float
-    n_sam: int
-    mode: str
-    diagnostics: dict = field(default_factory=dict)
 
 
 def choose_gamma(f: FunctionSpec, dt: float, n_probe: int) -> float:
@@ -285,7 +274,13 @@ def _chain_diagnostics(mu: np.ndarray, run, counts, spec: ScenarioSpec) -> dict:
     return diag
 
 
-def run_scenario_mean(spec: ScenarioSpec, mode: str = "exact-mu") -> EstimateReport:
+def _report(point: float, se: float, n_sam: int, mode: str, diagnostics: dict) -> dict:
+    """A report block: point estimate, its standard error and run diagnostics."""
+    return {"point_estimate": point, "standard_error": se, "n_sam": n_sam,
+            "mode": mode, "diagnostics": diagnostics}
+
+
+def run_scenario_mean(spec: ScenarioSpec, mode: str = "exact-mu") -> dict:
     """Estimate the observable mean for kind A or B.
 
     Samples the main-register distribution with Metropolis and averages the
@@ -301,11 +296,10 @@ def run_scenario_mean(spec: ScenarioSpec, mode: str = "exact-mu") -> EstimateRep
     visited = np.flatnonzero(counts)
     omega_vals = np.asarray(spec.observable.eigenvalues)
     point, se = _mean_and_error(omega_vals[visited], counts[visited])
-    diag = _chain_diagnostics(mu, run, counts, spec)
-    return EstimateReport(point, se, spec.n_sam, mode, diag)
+    return _report(point, se, spec.n_sam, mode, _chain_diagnostics(mu, run, counts, spec))
 
 
-def run_scenario_partition(spec: ScenarioSpec, mode: str = "exact-mu") -> EstimateReport:
+def run_scenario_partition(spec: ScenarioSpec, mode: str = "exact-mu") -> dict:
     """Estimate Z_g for kind C from one Metropolis trajectory.
 
     Follows the frequency-reweighting recipe literally: each sample
@@ -328,8 +322,7 @@ def run_scenario_partition(spec: ScenarioSpec, mode: str = "exact-mu") -> Estima
     if not np.isfinite(terms).all():
         raise DomainError("a mu/frequency term overflows: Z_g is beyond the float range")
     point, se = _mean_and_error(terms, counts[visited])
-    diag = _chain_diagnostics(mu, run, counts, spec)
-    return EstimateReport(point, se, spec.n_sam, mode, diag)
+    return _report(point, se, spec.n_sam, mode, _chain_diagnostics(mu, run, counts, spec))
 
 
 def _mean_and_error(values: np.ndarray, counts: np.ndarray):
@@ -348,21 +341,15 @@ def _mean_and_error(values: np.ndarray, counts: np.ndarray):
     return float(np.ldexp(mean, exponent)), float(np.ldexp(se, exponent))
 
 
-def trace_ratio(zg: EstimateReport, z1: EstimateReport) -> EstimateReport:
-    """Z_g / Z_1 with first-order error propagation."""
-    if z1.point_estimate <= 0:
-        raise DomainError(
-            f"Z_1 estimate must be positive, got {z1.point_estimate}"
-        )
-    ratio = zg.point_estimate / z1.point_estimate
-    se = float(
-        np.hypot(
-            zg.standard_error / z1.point_estimate,
-            zg.point_estimate * z1.standard_error / z1.point_estimate ** 2,
-        )
-    )
-    diag = {"numerator": asdict(zg), "denominator": asdict(z1)}
-    return EstimateReport(ratio, se, zg.n_sam, zg.mode, diag)
+def trace_ratio(zg: dict, z1: dict) -> dict:
+    """Z_g / Z_1 with first-order error propagation; the report nests both."""
+    g, g_se = zg["point_estimate"], zg["standard_error"]
+    one, one_se = z1["point_estimate"], z1["standard_error"]
+    if one <= 0:
+        raise DomainError(f"Z_1 estimate must be positive, got {one}")
+    se = float(np.hypot(g_se / one, g * one_se / one ** 2))
+    diag = {"numerator": zg, "denominator": z1}
+    return _report(g / one, se, zg["n_sam"], zg["mode"], diag)
 
 
 def split_signed_coeffs(coeffs):
@@ -393,7 +380,7 @@ def signed_partition(
     g_plus: FunctionSpec,
     g_minus: FunctionSpec,
     mode: str = "exact-mu",
-) -> EstimateReport:
+) -> dict:
     """Z_g for a signed weight g = g_plus - g_minus via two chains.
 
     The positive and negative parts get independent runs (the negative part
@@ -404,17 +391,17 @@ def signed_partition(
     minus_seed = (spec.seed + 1) % 2 ** 64
     if not any(g_plus.g_coeffs):
         minus = run_scenario_partition(replace(spec, g=g_minus, seed=minus_seed), mode)
-        return replace(minus, point_estimate=-minus.point_estimate)
+        return {**minus, "point_estimate": -minus["point_estimate"]}
     plus = run_scenario_partition(replace(spec, g=g_plus), mode)
     if not any(g_minus.g_coeffs):
         return plus
     minus = run_scenario_partition(replace(spec, g=g_minus, seed=minus_seed), mode)
-    return EstimateReport(
-        plus.point_estimate - minus.point_estimate,
-        float(np.hypot(plus.standard_error, minus.standard_error)),
+    return _report(
+        plus["point_estimate"] - minus["point_estimate"],
+        float(np.hypot(plus["standard_error"], minus["standard_error"])),
         spec.n_sam,
         mode,
-        {"plus": asdict(plus), "minus": asdict(minus)},
+        {"plus": plus, "minus": minus},
     )
 
 
@@ -434,7 +421,7 @@ def estimate_partition(spec: ScenarioSpec, mode: str = "exact-mu"):
     return zg, z1, trace_ratio(zg, z1)
 
 
-def exact_oracle(spec: ScenarioSpec, report: EstimateReport | None = None) -> dict:
+def exact_oracle(spec: ScenarioSpec, report: dict | None = None) -> dict:
     """Classical oracle block for a scenario, from the numerics oracles.
 
     Kinds A and B give the exact mean tr(Omega rho), plus the absolute error
@@ -457,7 +444,7 @@ def exact_oracle(spec: ScenarioSpec, report: EstimateReport | None = None) -> di
     exact = exact_mean(HermitianOperator.from_spectrum(spec.observable), rho)
     if report is None:
         return {"exact_value": exact}
-    return {"exact_value": exact, "abs_error": abs(report.point_estimate - exact)}
+    return {"exact_value": exact, "abs_error": abs(report["point_estimate"] - exact)}
 
 
 def estimate_diag_element(ancilla_zero_freq: float, gamma: float) -> float:
@@ -499,7 +486,13 @@ def estimate_diagonal(
     circuit_mu = max(float(np.sum(r * overlaps)), 0.0)
     p0 = min(circuit.gamma * circuit_mu, 1.0)
     freq = int(np.random.default_rng(seed).binomial(n_sam, p0)) / n_sam
-    positions = eigenvalues * circuit.dt * circuit.n_slots / (2 * np.pi)
+    with np.errstate(over="ignore"):
+        positions = eigenvalues * circuit.dt * circuit.n_slots / (2 * np.pi)
+    if not np.isfinite(positions).all():
+        raise DomainError(
+            f"eigenvalue times dt={circuit.dt!r} over {circuit.n_slots} probe slots "
+            "overflows the grid positions"
+        )
     nearest = [int(np.round(p)) % circuit.n_slots for p in positions]
     leakage = [
         {

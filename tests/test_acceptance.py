@@ -193,8 +193,8 @@ def test_criterion_4_scenario_b_end_to_end():
         burn_in=500,
     )
     report = run_scenario_mean(spec)
-    dev_1q = abs(report.point_estimate - 1 / 3)
-    ok = dev_1q <= 3 * report.standard_error
+    dev_1q = abs(report["point_estimate"] - 1 / 3)
+    ok = dev_1q <= 3 * report["standard_error"]
 
     worst_sigma = 0.0
     for s in range(3):
@@ -215,13 +215,13 @@ def test_criterion_4_scenario_b_end_to_end():
         report2 = run_scenario_mean(spec2)
         rho = thermal_density(h2.entries, beta)
         exact = float(np.trace(omega.entries @ rho).real)
-        sigmas = abs(report2.point_estimate - exact) / report2.standard_error
+        sigmas = abs(report2["point_estimate"] - exact) / report2["standard_error"]
         worst_sigma = max(worst_sigma, sigmas)
         ok = ok and sigmas <= 3
     elapsed = time.perf_counter() - start
     verdict(
         4, "scenario B end to end", ok,
-        f"1-qubit |dev| = {dev_1q:.2e} vs 3se = {3 * report.standard_error:.2e}, "
+        f"1-qubit |dev| = {dev_1q:.2e} vs 3se = {3 * report['standard_error']:.2e}, "
         f"2-qubit worst {worst_sigma:.2f} sigma",
         elapsed, 60,
     )
@@ -242,7 +242,7 @@ def test_criterion_5_scenario_c_partition():
             g=FunctionSpec.constant(1.0),
             burn_in=500,
         )
-        z1_estimates.append(run_scenario_partition(spec).point_estimate)
+        z1_estimates.append(run_scenario_partition(spec)["point_estimate"])
     median = float(np.median(z1_estimates))
     ok = abs(median - 1.5) <= 0.05 * 1.5
 
@@ -256,13 +256,13 @@ def test_criterion_5_scenario_c_partition():
         ScenarioSpec(seed=5300, g=FunctionSpec.constant(1.0), **base)
     )
     ratio = trace_ratio(zg, z1)
-    ratio_dev = abs(ratio.point_estimate - 1 / 3)
-    ok = ok and ratio_dev <= 3 * ratio.standard_error
+    ratio_dev = abs(ratio["point_estimate"] - 1 / 3)
+    ok = ok and ratio_dev <= 3 * ratio["standard_error"]
     elapsed = time.perf_counter() - start
     verdict(
         5, "scenario C partition", ok,
         f"Z1 median {median:.4f} vs 1.5, ratio dev {ratio_dev:.2e} "
-        f"vs 3se = {3 * ratio.standard_error:.2e}",
+        f"vs 3se = {3 * ratio['standard_error']:.2e}",
         elapsed, 120,
     )
 

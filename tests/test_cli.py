@@ -1,6 +1,5 @@
 """Command-line behavior: configs in, reports out, honest exit codes."""
 
-import dataclasses
 import json
 import os
 import re
@@ -200,6 +199,20 @@ def test_overflowing_phase_is_one_line_domain_error(command, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_overflowing_grid_position_is_one_line_domain_error(tmp_path, capsys):
+    # lambda dt = 1.5e308 fits a float and so do the n_probe = 1 phases, but
+    # the grid position lambda dt 2 / (2 pi) overflows before it is divided;
+    # rounding it used to raise OverflowError.
+    huge = matrix_to_json(np.diag([0.0, 1e300]).astype(complex))
+    path = diag_config(tmp_path, a=huge, n_probe=1, dt=1.5e8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["diag", "--config", path], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error:") and "grid positions" in err
+    assert err.count("\n") == 1
+
+
 def test_seed_flag_overrides_config(tmp_path, capsys):
     path = diag_config(tmp_path, seed=5)
     code, out, _ = run_cli(["diag", "--config", path, "--seed", "9"], capsys)
@@ -270,6 +283,26 @@ def test_partition_beyond_the_float_range_is_domain_error(tmp_path, capsys):
         code, out, err = run_cli(["partition", "--config", path], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("domain error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_report_value_beyond_the_float_range_is_domain_error(to_file, tmp_path, capsys):
+    # One sample at the +1.7e308 eigenvalue against an exact mean of about
+    # -7.3e307: abs_error overflows, and JSON has no Infinity.
+    cfg = {
+        "observable": {"eigenvalues": [-1.7e308, 1.7e308],
+                       "basis_changer": matrix_to_json(np.eye(2))},
+        "beta": 0.916290731874155, "n_sam": 1, "burn_in": 0, "seed": 2,
+    }
+    out_path = tmp_path / "report.json"
+    argv = ["mean", "--config", mean_config(tmp_path, **cfg)]
+    argv += ["--out", str(out_path)] if to_file else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == "domain error: a report value is beyond the float range\n"
+    assert not out_path.exists()
 
 
 def test_mean_rejects_kind_c_config(tmp_path, capsys):
@@ -828,9 +861,9 @@ def test_scenario_api_reproduces_partition_report(tmp_path, capsys):
         g=FunctionSpec.weighted_exponential((1.0, -1.0), 0.0),
     )
     zg, z1, ratio = estimate_partition(spec)
-    assert dataclasses.asdict(zg) == report["z_g"]
-    assert dataclasses.asdict(z1) == report["z_1"]
-    assert dataclasses.asdict(ratio) == report["trace_ratio"]
+    assert zg == report["z_g"]
+    assert z1 == report["z_1"]
+    assert ratio == report["trace_ratio"]
     assert exact_oracle(spec) == report["oracle"]
 
 

@@ -26,34 +26,48 @@ from qest.sampler import MAX_CHAIN_STEPS, MAX_WALK_DIM  # noqa: E402
 
 DIAG_01 = {"dim": 2, "re": [[0.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 H = 0.7071067811865476
+HADAMARD = {"dim": 2, "re": [[H, H], [H, -H]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 
+DIAG = {
+    "a": DIAG_01,
+    "v": HADAMARD,
+    "f": {"family": "exponential", "beta": 0.5},
+    "x0": 0,
+    "n_probe": 4,
+    "n_sam": 200,
+    "seed": 7,
+}
+MEAN = {
+    "kind": "B",
+    "hamiltonian": DIAG_01,
+    "observable": DIAG_01,
+    "beta": 0.6931471805599453,
+    "n_sam": 200,
+    "seed": 11,
+}
+
+# Each fixture's name, and the command that runs it. The explicit-dt diag
+# puts lambda dt on one probe slot of two; the spectral-pair mean reads its
+# observable as eigenvalues and a basis changer.
 FIXTURES = {
-    "diag": {
-        "a": DIAG_01,
-        "v": {"dim": 2, "re": [[H, H], [H, -H]], "im": [[0.0, 0.0], [0.0, 0.0]]},
-        "f": {"family": "exponential", "beta": 0.5},
-        "x0": 0,
-        "n_probe": 4,
-        "n_sam": 200,
-        "seed": 7,
-    },
-    "mean": {
-        "kind": "B",
-        "hamiltonian": DIAG_01,
-        "observable": DIAG_01,
-        "beta": 0.6931471805599453,
-        "n_sam": 200,
-        "seed": 11,
-    },
-    "partition": {
-        "kind": "C",
-        "hamiltonian": DIAG_01,
-        "g": [1.0, -1.0],
-        "beta": 0.6931471805599453,
-        "n_sam": 200,
-        "seed": 13,
-    },
-    "walk-gap": {"random": {"n_chains": 5, "dim": 6, "seed": 5, "proposal": "uniform"}},
+    "diag": ("diag", DIAG),
+    "diag-explicit-dt": ("diag", {**DIAG, "n_probe": 1, "dt": 1.0}),
+    "mean": ("mean", MEAN),
+    "mean-spectral-pair": (
+        "mean", {**MEAN, "observable": {"eigenvalues": [-1.0, 2.0], "basis_changer": HADAMARD}},
+    ),
+    "partition": (
+        "partition",
+        {
+            "kind": "C",
+            "hamiltonian": DIAG_01,
+            "g": [1.0, -1.0],
+            "beta": 0.6931471805599453,
+            "n_sam": 200,
+            "seed": 13,
+        },
+    ),
+    "walk-gap": ("walk-gap", {"random": {"n_chains": 5, "dim": 6, "seed": 5, "proposal": "uniform"}}),
 }
 
 _leaf = st.one_of(st.none(), st.booleans(), st.text(max_size=4))
@@ -150,19 +164,20 @@ def _violation(command, cfg, directory):
     return None
 
 
-@pytest.mark.parametrize("command", sorted(FIXTURES))
+@pytest.mark.parametrize("name", sorted(FIXTURES))
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
-def test_exit_code_contract_under_type_mutations(command, data, tmp_path_factory):
-    cfg = data.draw(mutations(FIXTURES[command]))
+def test_exit_code_contract_under_type_mutations(name, data, tmp_path_factory):
+    command, fixture = FIXTURES[name]
+    cfg = data.draw(mutations(fixture))
     assert _violation(command, cfg, tmp_path_factory.mktemp("fuzz")) is None
 
 
-@pytest.mark.parametrize("command", sorted(FIXTURES))
-def test_exit_code_contract_under_value_mutations(command, tmp_path):
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_exit_code_contract_under_value_mutations(name, tmp_path):
     # Every boundary value at every path: up to about 500 small runs per
-    # command, a few seconds in all.
-    fixture = FIXTURES[command]
+    # fixture, a few seconds in all.
+    command, fixture = FIXTURES[name]
     violations = []
     for path, _ in _paths(fixture):
         for value in BOUNDARY_VALUES:

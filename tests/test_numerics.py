@@ -183,6 +183,19 @@ def test_spectral_decomposition_rejects_descent_beyond_degeneracy():
         SpectralDecomposition(np.array([1.0, 1.0 - 2 * DEGENERACY_TOL]), UnitaryOperator(np.eye(2)))
 
 
+def test_spectrum_wider_than_the_float_range_needs_no_warning():
+    # The gap 1.7e308 - (-1.7e308) overflows in eigendecompose's grouping
+    # and in the ascending-order check; as inf it still compares correctly.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = eigendecompose(HermitianOperator(np.diag([-1.7e308, 1.7e308])))
+        assert dec.eigenvalues.tolist() == [-1.7e308, 1.7e308]
+        np.testing.assert_array_equal(dec.basis_changer.entries, np.eye(2))
+        SpectralDecomposition([-1.7e308, 1.7e308], UnitaryOperator(np.eye(2)))
+        with pytest.raises(DomainError, match="ascending"):
+            SpectralDecomposition([1.7e308, -1.7e308], UnitaryOperator(np.eye(2)))
+
+
 # ---------------------------------------------------- function_of_hermitian
 
 def test_function_identity_returns_operator():
@@ -409,6 +422,20 @@ def test_function_evaluation_stays_nonnegative():
     assert spec.evaluate(1.0) == pytest.approx(0.0)
     with pytest.raises(DomainError):
         spec.evaluate(2.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FunctionSpec.exponential(1.7e308), FunctionSpec.weighted_exponential((2.0,), 1.7e308)],
+    ids=["exponential", "weighted_exponential"],
+)
+def test_function_evaluation_with_overflowing_exponent_needs_no_warning(spec):
+    # beta * xi overflows: exp(-inf) is 0, and exp(+inf) a rejected inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spec.evaluate(np.array([0.0, 2.0])).tolist() == [spec.evaluate(0.0), 0.0]
+        with pytest.raises(DomainError, match="non-finite"):
+            spec.evaluate(-2.0)
 
 
 def test_tabulated_rejects_off_grid_query():

@@ -243,14 +243,14 @@ def test_mean_identity_observable_zero_variance():
         burn_in=50,
     )
     report = run_scenario_mean(spec)
-    assert report.point_estimate == pytest.approx(1.0, abs=1e-12)
-    assert report.standard_error == pytest.approx(0.0, abs=1e-12)
+    assert report["point_estimate"] == pytest.approx(1.0, abs=1e-12)
+    assert report["standard_error"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mean_one_qubit_thermal_fixture():
     report = run_scenario_mean(spec_b_fixture(seed=21))
-    assert report.standard_error > 0
-    assert abs(report.point_estimate - 1 / 3) <= 3 * report.standard_error
+    assert report["standard_error"] > 0
+    assert abs(report["point_estimate"] - 1 / 3) <= 3 * report["standard_error"]
 
 
 def test_mean_two_qubit_seeded_instances():
@@ -273,7 +273,7 @@ def test_mean_two_qubit_seeded_instances():
         rho_raw = function_of_hermitian(shifted, FunctionSpec.exponential(0.7)).entries
         rho = HermitianOperator(rho_raw / np.trace(rho_raw).real)
         want = exact_mean(omega, rho)
-        assert abs(report.point_estimate - want) <= 3 * report.standard_error
+        assert abs(report["point_estimate"] - want) <= 3 * report["standard_error"]
 
 
 def test_mean_shift_invariance():
@@ -282,13 +282,13 @@ def test_mean_shift_invariance():
     moved = spec_b_fixture(seed=33, hamiltonian=shifted_h)
     a = run_scenario_mean(base)
     b = run_scenario_mean(moved)
-    assert abs(a.point_estimate - b.point_estimate) <= 1e-10
+    assert abs(a["point_estimate"] - b["point_estimate"]) <= 1e-10
 
 
 def test_mean_diagnostics_present():
     report = run_scenario_mean(spec_b_fixture(n_sam=2000, seed=5))
     for key in ("acceptance_rate", "visitation_coverage", "delta"):
-        assert key in report.diagnostics
+        assert key in report["diagnostics"]
 
 
 def test_mean_diagnostics_have_delta_at_512_states():
@@ -300,7 +300,7 @@ def test_mean_diagnostics_have_delta_at_512_states():
         hamiltonian=HermitianOperator(np.diag(energies)),
         observable=diag_observable(energies),
     )
-    assert run_scenario_mean(spec).diagnostics["delta"] > 0
+    assert run_scenario_mean(spec)["diagnostics"]["delta"] > 0
 
 
 def test_mean_rejects_kind_c():
@@ -317,7 +317,7 @@ def test_partition_two_state_identity_weights():
         hamiltonian=HermitianOperator(np.zeros((2, 2))), beta=0.0, n_sam=2000, seed=7
     )
     report = run_scenario_partition(spec)
-    assert report.point_estimate == pytest.approx(2.0, abs=1e-12)
+    assert report["point_estimate"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_partition_infinite_temperature_counts_states():
@@ -326,13 +326,13 @@ def test_partition_infinite_temperature_counts_states():
         hamiltonian=random_hermitian(rng, 4), beta=0.0, n_sam=4000, seed=9
     )
     report = run_scenario_partition(spec)
-    assert report.diagnostics["visitation_coverage"] == pytest.approx(1.0)
-    assert report.point_estimate == pytest.approx(4.0, abs=1e-12)
+    assert report["diagnostics"]["visitation_coverage"] == pytest.approx(1.0)
+    assert report["point_estimate"] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_partition_thermal_fixture_five_percent():
     report = run_scenario_partition(spec_c_fixture(n_sam=10 ** 4, seed=11))
-    assert abs(report.point_estimate - 1.5) <= 0.05 * 1.5
+    assert abs(report["point_estimate"] - 1.5) <= 0.05 * 1.5
 
 
 def test_partition_consistency_large_sample():
@@ -345,13 +345,13 @@ def test_partition_consistency_large_sample():
     report = run_scenario_partition(spec)
     shifted, _ = shift_nonnegative(h4)
     want = exact_partition(shifted, 0.5, FunctionSpec.constant(1.0))
-    assert abs(report.point_estimate - want) <= 0.01 * want
+    assert abs(report["point_estimate"] - want) <= 0.01 * want
 
 
 def test_trace_ratio_of_itself_is_one():
     report = run_scenario_partition(spec_c_fixture(seed=15))
     ratio = trace_ratio(report, report)
-    assert ratio.point_estimate == pytest.approx(1.0)
+    assert ratio["point_estimate"] == pytest.approx(1.0)
 
 
 def test_trace_ratio_thermal_third():
@@ -360,15 +360,14 @@ def test_trace_ratio_thermal_third():
     )
     z1 = run_scenario_partition(spec_c_fixture(seed=18))
     ratio = trace_ratio(zg, z1)
-    assert ratio.standard_error > 0
-    assert abs(ratio.point_estimate - 1 / 3) <= 3 * ratio.standard_error
+    assert ratio["standard_error"] > 0
+    assert abs(ratio["point_estimate"] - 1 / 3) <= 3 * ratio["standard_error"]
 
 
 def test_trace_ratio_rejects_nonpositive_denominator():
     report = run_scenario_partition(spec_c_fixture(seed=19))
-    from qest.scenarios import EstimateReport
-
-    bad = EstimateReport(0.0, 0.1, 100, "exact-mu", {})
+    bad = {"point_estimate": 0.0, "standard_error": 0.1, "n_sam": 100,
+           "mode": "exact-mu", "diagnostics": {}}
     with pytest.raises(DomainError):
         trace_ratio(report, bad)
 
@@ -389,7 +388,7 @@ def test_signed_partition_reduces_when_negative_part_empty():
     plus, minus = split_signed_coeffs((1.0,))
     combined = signed_partition(spec, plus, minus)
     plain = run_scenario_partition(spec_c_fixture(seed=23))
-    assert combined.point_estimate == pytest.approx(plain.point_estimate)
+    assert combined["point_estimate"] == pytest.approx(plain["point_estimate"])
 
 
 def test_signed_partition_hand_value():
@@ -398,7 +397,7 @@ def test_signed_partition_hand_value():
                           n_sam=5000, seed=25)
     plus, minus = split_signed_coeffs((-1.0, 1.0))
     report = signed_partition(spec, plus, minus)
-    assert report.point_estimate == pytest.approx(-1.0, abs=1e-10)
+    assert report["point_estimate"] == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_signed_partition_seeded_polynomial():
@@ -419,7 +418,7 @@ def test_signed_partition_seeded_polynomial():
     want = exact_partition(
         shifted, 0.4, FunctionSpec("weighted_exponential", beta=0.0, g_coeffs=coeffs)
     )
-    assert abs(report.point_estimate - want) <= 3 * max(report.standard_error, 1e-12)
+    assert abs(report["point_estimate"] - want) <= 3 * max(report["standard_error"], 1e-12)
 
 
 # ------------------------------------------------------ scenario API
@@ -567,7 +566,7 @@ def test_pure_state_mean_is_exact_or_a_sampler_error(proposal):
             assert "cannot reach" in str(exc)
             outcomes.append("stranded")
             continue
-        assert report.point_estimate == pytest.approx(4.0, abs=1e-12)
+        assert report["point_estimate"] == pytest.approx(4.0, abs=1e-12)
         outcomes.append("exact")
     if proposal == "uniform":
         assert outcomes == ["exact"] * 40
