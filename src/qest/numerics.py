@@ -300,12 +300,13 @@ class FunctionSpec:
             return x.copy()
         if self.family == "tabulated":
             return self._lookup(x)
-        # beta * x may overflow: exp then gives 0, or inf, which evaluate rejects.
-        with np.errstate(over="ignore"):
+        # beta * x or the polynomial may overflow to inf, and inf * 0 is nan;
+        # evaluate and exact_partition reject both.
+        with np.errstate(over="ignore", invalid="ignore"):
             decay = np.exp(-self.beta * x)
-        if self.family == "exponential":
-            return decay
-        return np.polyval(self.g_coeffs[::-1], x) * decay
+            if self.family == "exponential":
+                return decay
+            return np.polyval(self.g_coeffs[::-1], x) * decay
 
     def evaluate(self, xi):
         """Evaluate on a scalar or array; rejects negative results.
@@ -384,20 +385,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return re + 1j * im
 
 
-def _first_nonzero_index(col: np.ndarray, tol: float = 1e-12) -> int:
-    idx = np.nonzero(np.abs(col) > tol)[0]
-    return int(idx[0]) if idx.size else len(col)
-
-
-def _phase_fix(col: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its first nonzero component is real positive."""
-    i = _first_nonzero_index(col)
-    if i == len(col):
-        return col
-    phase = col[i] / abs(col[i])
-    return col * phase.conjugate()
-
-
 def eigendecompose(op: HermitianOperator) -> SpectralDecomposition:
     """Spectral decomposition with a deterministic eigenvector convention.
 
@@ -408,26 +395,31 @@ def eigendecompose(op: HermitianOperator) -> SpectralDecomposition:
     the identity.
     """
     vals, vecs = np.linalg.eigh(op.entries)
-    cols = [_phase_fix(vecs[:, i]) for i in range(len(vals))]
-
-    def degeneracy_key(i):
-        c = cols[i]
-        return (_first_nonzero_index(c), tuple(np.round(c.view(float), 10)))
-
-    order = list(range(len(vals)))
-    start = 0
-    # A gap that overflows reads inf, which ends the group as it should.
+    # Each column's first component above 1e-12; a unit column has one.
+    lead = vecs[(np.abs(vecs) > 1e-12).argmax(axis=0), np.arange(len(vals))]
+    # One scalar division per column: numpy's array complex division rounds
+    # differently in the last bit.
+    vecs *= np.array([c / abs(c) for c in lead]).conj()
+    # A gap that overflows reads inf, which separates the eigenvalues as it should.
     with np.errstate(over="ignore"):
+        if not np.any(np.diff(vals) <= DEGENERACY_TOL):
+            return SpectralDecomposition(vals, UnitaryOperator(vecs))
+        cols = vecs.T.copy()
+        first = (np.abs(cols) > 1e-12).argmax(axis=1)
+        order = list(range(len(vals)))
+        start = 0
         while start < len(vals):
             stop = start + 1
             while stop < len(vals) and vals[stop] - vals[start] <= DEGENERACY_TOL:
                 stop += 1
             if stop - start > 1:
-                order[start:stop] = sorted(order[start:stop], key=degeneracy_key)
+                order[start:stop] = sorted(
+                    order[start:stop],
+                    key=lambda i: (first[i], tuple(np.round(cols[i].view(float), 10))),
+                )
             start = stop
-
-    u = np.column_stack([cols[i] for i in order])
-    return SpectralDecomposition(vals[order], UnitaryOperator(u))
+    # take keeps the row-major layout that vecs[:, order] would lose.
+    return SpectralDecomposition(vals[order], UnitaryOperator(np.take(vecs, order, axis=1)))
 
 
 def spectral_values(op: HermitianOperator, f: FunctionSpec) -> np.ndarray:

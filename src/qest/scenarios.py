@@ -493,15 +493,14 @@ def estimate_diagonal(
             f"eigenvalue times dt={circuit.dt!r} over {circuit.n_slots} probe slots "
             "overflows the grid positions"
         )
-    nearest = [int(np.round(p)) % circuit.n_slots for p in positions]
+    # The float remainder is exact, so the slot is right past 2^63 too.
+    nearest = (np.round(positions) % circuit.n_slots).astype(int)
+    off_slot = 1 - mass[nearest, np.arange(len(nearest))]
     leakage = [
-        {
-            "eigenvalue": float(lam),
-            "grid_position": float(p),
-            "nearest_slot": j,
-            "off_slot_mass": float(1 - mass[j, k]),
-        }
-        for k, (lam, p, j) in enumerate(zip(eigenvalues, positions, nearest))
+        {"eigenvalue": lam, "grid_position": p, "nearest_slot": j, "off_slot_mass": off}
+        for lam, p, j, off in zip(
+            eigenvalues.tolist(), positions.tolist(), nearest.tolist(), off_slot.tolist()
+        )
     ]
     return {
         "exact_mu": exact_mu,

@@ -285,6 +285,23 @@ def test_partition_beyond_the_float_range_is_domain_error(tmp_path, capsys):
     assert err.startswith("domain error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["diag", "partition"])
+def test_overflowing_weight_polynomial_is_one_line_domain_error(command, tmp_path, capsys):
+    # 1e308 (1 + x) overflows at x = 10; np.polyval used to print numpy
+    # overflow warnings before the error line.
+    d10 = matrix_to_json(np.diag([0.0, 10.0]))
+    if command == "diag":
+        f = {"family": "weighted_exponential", "beta": 0.0, "g_coeffs": [1e308, 1e308]}
+        path = diag_config(tmp_path, a=d10, f=f)
+    else:
+        path = partition_config(tmp_path, hamiltonian=d10, g=[1e308, 1e308], beta=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([command, "--config", path], capsys)
+    assert (code, out) == (3, "")
+    assert err == "domain error: function evaluation produced a non-finite value\n"
+
+
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
 def test_report_value_beyond_the_float_range_is_domain_error(to_file, tmp_path, capsys):
     # One sample at the +1.7e308 eigenvalue against an exact mean of about

@@ -196,6 +196,90 @@ def test_spectrum_wider_than_the_float_range_needs_no_warning():
             SpectralDecomposition([1.7e308, -1.7e308], UnitaryOperator(np.eye(2)))
 
 
+def _first_nonzero_index(col: np.ndarray) -> int:
+    idx = np.nonzero(np.abs(col) > 1e-12)[0]
+    return int(idx[0]) if idx.size else len(col)
+
+
+def reference_eigendecompose(entries: np.ndarray):
+    """The per-column decomposition: each eigenvector phase-fixed on its own,
+    each degenerate group sorted, the columns stacked."""
+    vals, vecs = np.linalg.eigh(entries)
+    cols = []
+    for i in range(len(vals)):
+        col = vecs[:, i]
+        lead = _first_nonzero_index(col)
+        if lead < len(col):
+            col = col * (col[lead] / abs(col[lead])).conjugate()
+        cols.append(col)
+
+    def degeneracy_key(i):
+        return (_first_nonzero_index(cols[i]), tuple(np.round(cols[i].view(float), 10)))
+
+    order = list(range(len(vals)))
+    start = 0
+    with np.errstate(over="ignore"):
+        while start < len(vals):
+            stop = start + 1
+            while stop < len(vals) and vals[stop] - vals[start] <= DEGENERACY_TOL:
+                stop += 1
+            order[start:stop] = sorted(order[start:stop], key=degeneracy_key)
+            start = stop
+    return vals[order], np.column_stack([cols[i] for i in order])
+
+
+def _rotated(rng, spectrum) -> np.ndarray:
+    u = random_unitary(rng, len(spectrum)).entries
+    return (u * np.asarray(spectrum)) @ u.conj().T
+
+
+def _block_diagonal(rng, dim: int) -> np.ndarray:
+    """Two Hermitian blocks: the second block's eigenvectors lead with
+    exact zeros."""
+    m = np.zeros((dim, dim), dtype=complex)
+    half = dim // 2
+    for block, shift in ((slice(0, half), 0.0), (slice(half, dim), 5.0)):
+        b = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
+        m[block, block] = (b + b.conj().T) / 2 + shift * np.eye(half)
+    return m
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(233)
+    cases = []
+    for dim in (2, 4, 8, 16, 32, 64, 128):
+        cases += [random_hermitian(rng, dim).entries for _ in range(8 if dim < 128 else 3)]
+        cases += [
+            np.eye(dim),
+            np.kron(np.eye(dim // 2), PAULI_X),
+            np.diag(rng.integers(0, 3, dim).astype(float)),
+            _rotated(rng, np.repeat(rng.normal(size=dim // 2), 2)),
+            _block_diagonal(rng, dim),
+        ]
+    cases += [
+        np.diag([1.0 + 0.9 * DEGENERACY_TOL, 1.0]),
+        _rotated(rng, [0.0, 1.0, 1.0 + 0.5 * DEGENERACY_TOL, 2.0]),
+        np.diag([-1.7e308, 1.7e308]),
+    ]
+    return cases
+
+
+def test_eigendecompose_bitwise_equals_per_column_reference():
+    leading_zero = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entries in _oracle_cases():
+            op = HermitianOperator(entries)
+            dec = eigendecompose(op)
+            vals, u = reference_eigendecompose(op.entries)
+            # Bit for bit, signed zeros included; row-major, as the reference.
+            assert dec.eigenvalues.tobytes() == vals.tobytes()
+            assert dec.basis_changer.entries.flags.c_contiguous
+            assert dec.basis_changer.entries.tobytes() == u.tobytes()
+            leading_zero += np.any(u[0] == 0)
+    assert leading_zero > 0
+
+
 # ---------------------------------------------------- function_of_hermitian
 
 def test_function_identity_returns_operator():

@@ -678,6 +678,47 @@ def test_estimate_diagonal_validates_shot_arguments():
         estimate_diagonal(a, v, 0, cfg, 10, -1)
 
 
+def reference_leakage(eigenvalues, cfg) -> list:
+    """One row per eigenvalue, each read through numpy scalars."""
+    mass = circuit.probe_mass(eigenvalues, cfg)
+    positions = eigenvalues * cfg.dt * cfg.n_slots / (2 * np.pi)
+    rows = []
+    for k, (lam, p) in enumerate(zip(eigenvalues, positions)):
+        j = int(np.round(p)) % cfg.n_slots
+        rows.append({
+            "eigenvalue": float(lam),
+            "grid_position": float(p),
+            "nearest_slot": j,
+            "off_slot_mass": float(1 - mass[j, k]),
+        })
+    return rows
+
+
+def test_leakage_rows_equal_the_per_eigenvalue_formula():
+    # N_S = 64 with dt = 2 pi / 64: grid position = eigenvalue, up to
+    # rounding. Exact half-integers round to even, also across the wrap at
+    # slot 64, and positions past 2^63 need an exact remainder.
+    rng = np.random.default_rng(239)
+    n_probe, dt = 6, 2 * np.pi / 64
+    halves = [k + 0.5 for k in range(40, 80) if (k + 0.5) * dt * 64 / (2 * np.pi) == k + 0.5]
+    huge = (2.0 ** 63 * 10 ** rng.uniform(0, 250, 16)).tolist()
+    plain = rng.uniform(0, 140, 64 - len(halves) - len(huge)).tolist()
+    a = HermitianOperator(np.diag(sorted(halves + huge + plain)))
+    cfg = circuit_config(a, FunctionSpec.identity(), n_probe, dt=dt)
+    v = random_unitary(rng, 64)
+    got = estimate_diagonal(a, v, 5, cfg, 100, seed=1)["leakage"]
+    want = reference_leakage(a.spectrum.eigenvalues, cfg)
+
+    def fields(rows):
+        return [[(key, type(x), x) for key, x in row.items()] for row in rows]
+
+    assert fields(got) == fields(want)
+    positions = [row["grid_position"] for row in got]
+    assert sum(p % 1 == 0.5 for p in positions) >= 10
+    assert any(p % 1 == 0.5 and 64 < p < 128 for p in positions)
+    assert sum(p > 2.0 ** 63 for p in positions) == 16
+
+
 # ------------------------------------------------------- standard error
 
 def test_mean_and_error_scaling_keeps_the_plain_bits():
