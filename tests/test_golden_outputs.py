@@ -1,9 +1,12 @@
 """`compile-mux` gate files and `walk-gap` CSVs pinned to stored outputs.
 
 tests/data/golden_outputs.json holds each run's config and its output minus
-the manifest line. Gate text must match byte for byte: the slot angles come
-from sums, differences and a power-of-two division alone, so no library
-rounding enters them. A walk-gap row's status must match exactly, and its
+the manifest line, and for compile-mux also its stderr verification line.
+Gate text must match byte for byte: the slot angles come from sums,
+differences and a power-of-two division alone, so no library rounding enters
+them. The verification line must match byte for byte too: the deviation is
+read from the composed blocks, whose bits are pinned by the bitwise composer
+tests in test_circuit.py. A walk-gap row's status must match exactly, and its
 floats, which pass through an eigensolve, within a relative 1e-12, the rule
 of test_golden_reports.py.
 
@@ -11,6 +14,8 @@ Regenerate, only when an output is meant to change, with
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
 
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
@@ -51,15 +56,18 @@ def _configs() -> dict:
     return cases
 
 
-def _output(tmp_dir: Path, name: str, command: str, cfg: dict) -> str:
-    """The run's output file without its leading manifest line."""
+def _output(tmp_dir: Path, name: str, command: str, cfg: dict) -> tuple:
+    """The run's output file without its leading manifest line, and its
+    stderr."""
     path = tmp_dir / f"{name}.json"
     path.write_text(json.dumps(cfg))
     out = tmp_dir / f"{name}.out"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 0, name
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0, name
     manifest, rest = out.read_text().split("\n", 1)
     assert manifest.startswith("# manifest: "), name
-    return rest
+    return rest, stderr.getvalue()
 
 
 def _csv_mismatches(got: str, want: str) -> list:
@@ -86,9 +94,10 @@ GOLDEN_CASES = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else {
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_output_matches_golden(name, tmp_path):
     case = GOLDEN_CASES[name]
-    got = _output(tmp_path, name, case["command"], case["config"])
+    got, stderr = _output(tmp_path, name, case["command"], case["config"])
     if case["command"] == "compile-mux":
         assert got == case["output"], name
+        assert stderr == case["stderr"], name
     else:
         assert _csv_mismatches(got, case["output"]) == [], name
 
@@ -113,8 +122,10 @@ if __name__ == "__main__":
     cases = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (command, cfg) in _configs().items():
-            output = _output(Path(tmp), name, command, cfg)
+            output, stderr = _output(Path(tmp), name, command, cfg)
             cases[name] = {"command": command, "config": cfg, "output": output}
+            if command == "compile-mux":
+                cases[name]["stderr"] = stderr
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({"cases": cases}, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(cases)} cases to {GOLDEN}")
