@@ -142,11 +142,6 @@ class Gate:
     control: int = -1
     angle: float = 0.0
 
-    def to_text(self) -> str:
-        if self.name == "RY":
-            return f"RY {self.target} {self.angle!r}"
-        return f"CNOT {self.control} {self.target}"
-
 
 @dataclass(frozen=True)
 class GateSequence:
@@ -173,7 +168,10 @@ class GateSequence:
         return len(self.gates)
 
     def to_text(self) -> str:
-        return "\n".join(g.to_text() for g in self.gates) + "\n"
+        return "".join(
+            f"RY {g.target} {g.angle!r}\n" if g.name == "RY" else f"CNOT {g.control} {g.target}\n"
+            for g in self.gates
+        )
 
     @classmethod
     def from_text(cls, text: str, n_qubits: int | None = None) -> "GateSequence":
@@ -393,94 +391,65 @@ def expand_multiplexor(angles) -> GateSequence:
     return GateSequence(k + 1, tuple(gates))
 
 
-def _qubit_views(block: np.ndarray, axes, bits):
-    """View of a (2^n, width) block at the given bit of each listed row axis
-    (axis 0 most significant); the other axes fold into the view's axes."""
-    n = block.shape[0].bit_length() - 1
-    shape, select, prev = [], [], 0
-    for ax, bit in sorted(zip(axes, bits)):
-        shape += [2 ** (ax - prev), 2]
-        select += [slice(None), bit]
-        prev = ax + 1
-    shape.append(2 ** (n - prev) * block.shape[1])
-    return block.reshape(shape)[tuple(select)]
+def _branch_blocks(seq: GateSequence) -> np.ndarray:
+    """The 2x2 diagonal blocks of the unitary of a sequence whose gates all
+    target its last qubit, else a DomainError: blocks[j, b, a] is the entry
+    at row 2j + b and column 2j + a (qubit 0 most significant).
 
-
-def _compose_blocks(seq: GateSequence):
-    """The diagonal blocks of a gate sequence's unitary over the qubits no
-    gate targets, and their rows: blocks[v, b, a] is the entry at row
-    rows[v, b] and column rows[v, a], for v over the untargeted qubits'
-    assignments and b, a over the targeted ones', each ascending.
-
-    An untargeted qubit is at most a CNOT control, so it keeps its value.
-    One column is evolved per assignment a of the targeted qubits, starting
-    as the sum of |v, a> over every v: its rows with untargeted bits v are
-    column (v, a) of the unitary. Each row meets the same float operations
-    as in its own column, so the bits are those of a column-by-column
-    product, in O(dim * 2^targeted) work per gate. Every gate is real, so
-    the columns are float64, updated in place; an RY computes c*m0 - s*m1
-    and s*m0 + c*m1, as a complex product would. Row axes are ordered by how
-    many RY gates target each qubit, then by how many CNOTs each controls,
-    most first, so the rotations mostly update contiguous halves and the
-    most frequent swaps contiguous quarters.
+    The other qubits are at most CNOT controls, so both columns of every
+    block are evolved at once, in place, in a float64 array m[b, r, a]. Its
+    control index r is j bit-reversed (reversed back once, at the end), so
+    the last control's CNOTs, the most frequent in expand_multiplexor's Gray
+    code, swap contiguous halves. An RY computes c*m0 - s*m1 and
+    s*m0 + c*m1, as a column-by-column complex product would, so the bits
+    are that product's.
     """
-    n = seq.n_qubits
-    dim = 2 ** n
-    targeted = {g.target for g in seq.gates}
-    width = 2 ** len(targeted)
-    ry_targets = [g.target for g in seq.gates if g.name == "RY"]
-    controls = [g.control for g in seq.gates if g.name == "CNOT"]
-    order = sorted(range(n), key=lambda q: (-ry_targets.count(q), -controls.count(q)))
-    axis = {q: i for i, q in enumerate(order)}
-    block = np.zeros((dim, width))
-    scratch = np.empty(dim * width // 2), np.empty(dim * width // 2)
-    # The in-place views of a gate depend only on its qubits, so each is
-    # built once and shared by every gate on the same qubits.
-    views = {}
-    steps = []
-    for g in seq.gates:
-        key = (g.control, g.target)
-        if key not in views:
-            qubits, fixed = ((g.target,), ()) if g.name == "RY" else (key, (1,))
-            m0, m1 = (
-                _qubit_views(block, [axis[q] for q in qubits], fixed + (b,)) for b in (0, 1)
+    k = seq.n_qubits - 1
+    if k < 0:
+        raise DomainError("a sequence on 0 qubits has no last qubit to compose on")
+    for i, g in enumerate(seq.gates):
+        if g.target != k:
+            raise DomainError(
+                f"gate {i} targets qubit {g.target}: the gate composer takes only "
+                f"gates that target the last qubit, {k}"
             )
-            views[key] = (m0, m1) + tuple(buf[:m0.size].reshape(m0.shape) for buf in scratch)
-        rotation = (np.cos(g.angle / 2), np.sin(g.angle / 2)) if g.name == "RY" else (None, None)
-        steps.append(views[key] + rotation)
-    rows = np.arange(dim)
-    home = rows & sum(2 ** (n - 1 - q) for q in range(n) if q not in targeted)
-    # Untargeted bits v (rows) or'd with targeted bits b (columns); evolved
-    # column a starts on block_rows[:, a].
-    block_rows = rows[home == rows][:, None] | rows[home == 0]
-    # Block row of each standard basis index, and the block seen with its
-    # row axes in the standard qubit order.
-    inverse = list(np.argsort(order))
-    row_of = rows.reshape((2,) * n).transpose(inverse).ravel()
-    block[row_of[block_rows], np.arange(width)] = 1.0
-    for m0, m1, a, b, c, s in steps:
-        if c is None:  # CNOT: swap the target halves where the control is 1
-            a[...] = m0
-            m0[...] = m1
-            m1[...] = a
+    m = np.zeros((2, 2 ** k, 2))
+    m[0, :, 0] = m[1, :, 1] = 1.0
+    m0, m1 = m
+    a, b = np.empty_like(m0), np.empty_like(m0)
+    # Control qubit q is bit q of r. A CNOT from it swaps the halves of m
+    # where that bit is 1, through scratch of their shape.
+    swaps = []
+    for q in range(k):
+        x0, x1 = m.reshape(2, 2 ** (k - 1 - q), 2, -1)[:, :, 1]
+        swaps.append((x0, x1, a.reshape(-1)[:x0.size].reshape(x0.shape)))
+    for g in seq.gates:
+        if g.name == "CNOT":
+            x0, x1, t = swaps[g.control]
+            t[...] = x0
+            x0[...] = x1
+            x1[...] = t
             continue
+        c, s = np.cos(g.angle / 2), np.sin(g.angle / 2)
         np.multiply(m0, c, out=a)
         np.multiply(m1, s, out=b)
         m1 *= c
         m0 *= s
         m1 += m0
         np.subtract(a, b, out=m0)
-    standard = block.reshape((2,) * n + (width,)).transpose(inverse + [n]).reshape(dim, width)
-    return standard[block_rows], block_rows
+    axes = list(range(k, 0, -1)) + [0, k + 1]
+    return m.reshape((2,) * (k + 2)).transpose(axes).reshape(2 ** k, 2, 2)
 
 
 def compose_gate_unitary(seq: GateSequence) -> np.ndarray:
-    """Multiply a gate sequence into a dense complex unitary (qubit 0 most
-    significant): the diagonal blocks of _compose_blocks scattered into
-    zeros, bitwise equal to a column-by-column complex product."""
-    blocks, rows = _compose_blocks(seq)
-    out = np.zeros((2 ** seq.n_qubits,) * 2, dtype=complex)
-    out[rows[:, :, None], rows[:, None, :]] = blocks
+    """Multiply a gate sequence that targets only its last qubit into a dense
+    complex unitary (qubit 0 most significant): the blocks of _branch_blocks
+    on the diagonal, bitwise equal to a column-by-column complex product."""
+    blocks = _branch_blocks(seq)
+    n = blocks.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    j = np.arange(n)
+    out.reshape(n, 2, n, 2)[j, :, j, :] = blocks
     return out
 
 
@@ -492,7 +461,7 @@ def multiplexor_deviation(seq: GateSequence, angles) -> float:
     last = seq.n_qubits - 1
     if {g.target for g in seq.gates} != {last} or 2 ** last != angles.size:
         raise DomainError("gate sequence is not a multiplexor over the given angles")
-    blocks = _compose_blocks(seq)[0]
+    blocks = _branch_blocks(seq)
     c, s = np.cos(angles / 2), np.sin(angles / 2)
     want = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
     return float(np.abs(blocks - want).max())

@@ -62,7 +62,7 @@ from .synth import random_reversible_chain
 
 # Most angles one compile-mux run may compile. Every accepted list is
 # verified, in O(n) memory but O(n^2) time: 2n gates over 2n-entry columns,
-# 0.15-0.18 s at this cap on 2 cores.
+# 0.12-0.17 s at this cap on 2 cores.
 MAX_MUX_ANGLES = 2 ** 12
 
 # Most random chains one walk-gap config may ask for.

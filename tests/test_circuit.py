@@ -442,13 +442,13 @@ def test_gate_sequence_rejects_garbage():
 
 def test_compose_matches_kron_oracle():
     theta = 0.7
-    seq = GateSequence(2, (Gate("RY", 0, angle=theta), Gate("CNOT", 1, control=0)))
+    seq = GateSequence(2, (Gate("RY", 1, angle=theta), Gate("CNOT", 1, control=0)))
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     ry = np.array([[c, -s], [s, c]])
     cnot = np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float
     )
-    want = cnot @ np.kron(ry, np.eye(2))
+    want = cnot @ np.kron(np.eye(2), ry)
     assert np.abs(compose_gate_unitary(seq) - want).max() <= 1e-12
 
 
@@ -525,39 +525,26 @@ def reference_compose_gate_unitary(seq: GateSequence) -> np.ndarray:
     return tensor.reshape(dim, dim)
 
 
-def _random_sequence(rng, n_qubits: int, n_gates: int) -> GateSequence:
-    gates = []
-    for _ in range(n_gates):
-        if n_qubits == 1 or rng.random() < 0.5:
-            gates.append(Gate("RY", int(rng.integers(n_qubits)), angle=float(rng.uniform(-7, 7))))
-        else:
-            control, target = rng.choice(n_qubits, 2, replace=False)
-            gates.append(Gate("CNOT", int(target), control=int(control)))
-    return GateSequence(n_qubits, tuple(gates))
-
-
 def test_compose_bitwise_equals_reference_on_generic_sequences():
+    # Random RY/CNOT sequences on the last qubit, the empty one included;
+    # every other qubit is at most a CNOT control.
     rng = np.random.default_rng(211)
-    empty = GateSequence(0, ())
-    assert np.array_equal(compose_gate_unitary(empty), reference_compose_gate_unitary(empty))
-    for n_qubits in range(1, 7):
-        for n_gates in (0, 1, 5, 40):
-            seq = _random_sequence(rng, n_qubits, n_gates)
-            got = compose_gate_unitary(seq)
-            assert got.dtype == complex
-            assert np.array_equal(got, reference_compose_gate_unitary(seq))
+    for n_qubits in range(1, 9):
+        for n_gates in (0, 1, 5, 24, 40):
+            seq = _sequence_targeting(rng, n_qubits, [n_qubits - 1], n_gates)
+            _assert_composes_like_reference(seq)
 
 
 def test_compose_bitwise_equals_reference_at_register_edges():
+    # CNOT controls at either end of the register and in its middle.
     rng = np.random.default_rng(223)
     last = 4
-    for control, target in ((0, last), (last, 0), (2, 0), (2, last), (last, 2), (0, 2)):
+    for control in (0, 2, last - 1):
         gates = [
-            Gate("RY", target, angle=0.9),
-            Gate("CNOT", target, control=control),
-            Gate("RY", control, angle=-2.3),
-            Gate("RY", target, angle=float(rng.uniform(-7, 7))),
-            Gate("CNOT", target, control=control),
+            Gate("RY", last, angle=0.9),
+            Gate("CNOT", last, control=control),
+            Gate("RY", last, angle=float(rng.uniform(-7, 7))),
+            Gate("CNOT", last, control=control),
         ]
         seq = GateSequence(last + 1, tuple(gates))
         assert np.array_equal(compose_gate_unitary(seq), reference_compose_gate_unitary(seq))
@@ -565,7 +552,7 @@ def test_compose_bitwise_equals_reference_at_register_edges():
 
 def test_compose_bitwise_on_a_random_nine_qubit_sequence():
     n_qubits = 9
-    seq = _random_sequence(np.random.default_rng(227), n_qubits, 30)
+    seq = _sequence_targeting(np.random.default_rng(227), n_qubits, [n_qubits - 1], 30)
     assert np.array_equal(compose_gate_unitary(seq), reference_compose_gate_unitary(seq))
 
 
@@ -649,22 +636,10 @@ def _assert_composes_like_reference(seq: GateSequence) -> None:
     assert np.array_equal(got, reference_compose_gate_unitary(seq))
 
 
-def test_compose_bitwise_with_control_only_qubits():
-    rng = np.random.default_rng(239)
-    for n_qubits in range(1, 10):
-        _assert_composes_like_reference(GateSequence(n_qubits, ()))
-        for _ in range(3):
-            m = int(rng.integers(1, n_qubits + 1))
-            targeted = rng.choice(n_qubits, m, replace=False)
-            _assert_composes_like_reference(_sequence_targeting(rng, n_qubits, targeted, 24))
-
-
 def test_compose_bitwise_on_cnots_only():
     rng = np.random.default_rng(241)
     for n_qubits in range(2, 10):
-        m = int(rng.integers(1, n_qubits + 1))
-        targeted = rng.choice(n_qubits, m, replace=False)
-        seq = _sequence_targeting(rng, n_qubits, targeted, 16, ry_share=0.0)
+        seq = _sequence_targeting(rng, n_qubits, [n_qubits - 1], 16, ry_share=0.0)
         assert all(g.name == "CNOT" for g in seq.gates)
         _assert_composes_like_reference(seq)
 
@@ -672,29 +647,31 @@ def test_compose_bitwise_on_cnots_only():
 def test_compose_bitwise_with_one_targeted_qubit():
     rng = np.random.default_rng(251)
     for n_qubits in range(1, 10):
-        for target in {0, n_qubits // 2, n_qubits - 1}:
-            seq = _sequence_targeting(rng, n_qubits, [target], 20)
-            _assert_composes_like_reference(seq)
+        _assert_composes_like_reference(_sequence_targeting(rng, n_qubits, [n_qubits - 1], 20))
 
 
-def test_compose_bitwise_with_every_qubit_targeted():
+def test_compose_rejects_a_sequence_that_targets_another_qubit():
     rng = np.random.default_rng(257)
-    for n_qubits in range(1, 10):
+    rejected = [GateSequence(0, ())]
+    for n_qubits in range(2, 10):
         # Each qubit is targeted at least once, then random gates follow.
         head = tuple(Gate("RY", q, angle=float(rng.uniform(-7, 7))) for q in range(n_qubits))
         tail = _sequence_targeting(rng, n_qubits, range(n_qubits), 20).gates
-        _assert_composes_like_reference(GateSequence(n_qubits, head + tail))
-
-
-def test_compose_bitwise_with_eight_of_nine_qubits_targeted():
-    # 8 targeted qubits out of 9 give 2^8 evolved columns.
-    n_qubits = 9
-    rng = np.random.default_rng(263)
+        rejected.append(GateSequence(n_qubits, head + tail))
     for idle in (0, 4, 8):
-        targeted = [q for q in range(n_qubits) if q != idle]
+        # 8 of 9 qubits targeted.
+        targeted = [q for q in range(9) if q != idle]
         head = tuple(Gate("RY", q, angle=float(rng.uniform(-7, 7))) for q in targeted)
-        tail = _sequence_targeting(rng, n_qubits, targeted, 30).gates
-        _assert_composes_like_reference(GateSequence(n_qubits, head + tail))
+        rejected.append(GateSequence(9, head + _sequence_targeting(rng, 9, targeted, 30).gates))
+    # Gates on the last qubit, then one that targets qubit 0.
+    last = (Gate("RY", 4, angle=0.9), Gate("CNOT", 4, control=0))
+    rejected.append(GateSequence(5, last + (Gate("CNOT", 0, control=4),)))
+    for seq in rejected:
+        with pytest.raises(DomainError, match="last qubit"):
+            compose_gate_unitary(seq)
+        angles = np.zeros(2 ** max(seq.n_qubits - 1, 0))
+        with pytest.raises(DomainError, match="not a multiplexor"):
+            multiplexor_deviation(seq, angles)
 
 
 def test_compose_bitwise_on_a_nine_control_multiplexor():
