@@ -636,6 +636,15 @@ def _assert_composes_like_reference(seq: GateSequence) -> None:
     assert np.array_equal(got, reference_compose_gate_unitary(seq))
 
 
+def test_compose_bitwise_with_control_only_qubits():
+    # Every qubit but the last is at most a CNOT control.
+    rng = np.random.default_rng(239)
+    for n_qubits in range(1, 10):
+        _assert_composes_like_reference(GateSequence(n_qubits, ()))
+        for _ in range(3):
+            _assert_composes_like_reference(_sequence_targeting(rng, n_qubits, [n_qubits - 1], 24))
+
+
 def test_compose_bitwise_on_cnots_only():
     rng = np.random.default_rng(241)
     for n_qubits in range(2, 10):
@@ -650,28 +659,48 @@ def test_compose_bitwise_with_one_targeted_qubit():
         _assert_composes_like_reference(_sequence_targeting(rng, n_qubits, [n_qubits - 1], 20))
 
 
-def test_compose_rejects_a_sequence_that_targets_another_qubit():
+def _assert_rejected(seq: GateSequence) -> None:
+    """Both readers of the last-qubit kernel refuse `seq`."""
+    with pytest.raises(DomainError, match="last qubit"):
+        compose_gate_unitary(seq)
+    angles = np.zeros(2 ** max(seq.n_qubits - 1, 0))
+    with pytest.raises(DomainError, match="not a multiplexor"):
+        multiplexor_deviation(seq, angles)
+
+
+def test_compose_bitwise_with_every_qubit_targeted():
+    # Only the one-qubit register, whose every qubit is its last, composes;
+    # with n >= 2 qubits the sequence targets another qubit and is refused.
     rng = np.random.default_rng(257)
-    rejected = [GateSequence(0, ())]
-    for n_qubits in range(2, 10):
+    for n_qubits in range(1, 10):
         # Each qubit is targeted at least once, then random gates follow.
         head = tuple(Gate("RY", q, angle=float(rng.uniform(-7, 7))) for q in range(n_qubits))
         tail = _sequence_targeting(rng, n_qubits, range(n_qubits), 20).gates
-        rejected.append(GateSequence(n_qubits, head + tail))
+        seq = GateSequence(n_qubits, head + tail)
+        if n_qubits == 1:
+            _assert_composes_like_reference(seq)
+        else:
+            _assert_rejected(seq)
+
+
+def test_compose_bitwise_with_eight_of_nine_qubits_targeted():
+    # 8 targeted qubits out of 9 always include one besides the last:
+    # the composer refuses the sequence.
+    n_qubits = 9
+    rng = np.random.default_rng(263)
     for idle in (0, 4, 8):
-        # 8 of 9 qubits targeted.
-        targeted = [q for q in range(9) if q != idle]
+        targeted = [q for q in range(n_qubits) if q != idle]
         head = tuple(Gate("RY", q, angle=float(rng.uniform(-7, 7))) for q in targeted)
-        rejected.append(GateSequence(9, head + _sequence_targeting(rng, 9, targeted, 30).gates))
+        tail = _sequence_targeting(rng, n_qubits, targeted, 30).gates
+        _assert_rejected(GateSequence(n_qubits, head + tail))
+
+
+def test_compose_rejects_a_sequence_that_targets_another_qubit():
+    # The 0-qubit sequence has no last qubit.
+    _assert_rejected(GateSequence(0, ()))
     # Gates on the last qubit, then one that targets qubit 0.
     last = (Gate("RY", 4, angle=0.9), Gate("CNOT", 4, control=0))
-    rejected.append(GateSequence(5, last + (Gate("CNOT", 0, control=4),)))
-    for seq in rejected:
-        with pytest.raises(DomainError, match="last qubit"):
-            compose_gate_unitary(seq)
-        angles = np.zeros(2 ** max(seq.n_qubits - 1, 0))
-        with pytest.raises(DomainError, match="not a multiplexor"):
-            multiplexor_deviation(seq, angles)
+    _assert_rejected(GateSequence(5, last + (Gate("CNOT", 0, control=4),)))
 
 
 def test_compose_bitwise_on_a_nine_control_multiplexor():
