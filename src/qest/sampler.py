@@ -48,7 +48,7 @@ _LOW32 = 0xFFFFFFFF
 # uniform times a power of two up to 2**53 is exact.
 _BUCKETS = 4096
 
-# Most entries a _TableWalk's table may have: a list slot of 8 bytes each, plus
+# Most entries a _TableWalk's table may have: a tuple slot of 8 bytes each, plus
 # about 28 for its int above 256 states, where Python does not share them.
 _MAX_TABLE_ENTRIES = 2 ** 22
 
@@ -394,6 +394,8 @@ class _TableWalk:
     A uniform's rank g among the distinct ratios below 1 (levels) is read
     from its bucket floor(u * _BUCKETS), exact for every uniform, unless a
     level lies inside that bucket; symbol[k, g] is then the step's symbol.
+    Up to 256 symbols fit a byte, and the walk then reads them as bytes, the
+    fastest way out of numpy; more are read as a list. Both take the same steps.
     """
 
     __slots__ = ("ratio", "table", "symbol", "levels", "by_bucket", "crowded", "x", "n_accepted")
@@ -414,8 +416,10 @@ class _TableWalk:
         rank = np.array([np.searchsorted(r, np.append(-1.0, levels), "right") for r in ordered])
         below = np.array([np.searchsorted(r, v) for r, v in zip(ordered, ratio)])  # ratios < ratio[k, x]
         moved = below.T[:, :, None] >= np.arange(dim + 1)
-        self.table = np.where(moved, target.T[:, :, None], states[:, None, None]).reshape(dim, -1).tolist()
-        self.symbol = rank + (dim + 1) * np.arange(len(ratio))[:, None]
+        table = np.where(moved, target.T[:, :, None], states[:, None, None]).reshape(dim, -1)
+        self.table = list(map(tuple, table.tolist()))  # tuple rows index fastest
+        symbol = rank + (dim + 1) * np.arange(len(ratio))[:, None]
+        self.symbol = symbol.astype(np.uint8 if len(ratio) * (dim + 1) <= 256 else np.intp)
         scaled = levels * _BUCKETS  # exact, as _BUCKETS is a power of two
         # edges[b]: the levels <= b / _BUCKETS, those with ceil(scaled) <= b
         edges = np.bincount(np.ceil(scaled).astype(np.intp), minlength=_BUCKETS + 1)
@@ -435,7 +439,8 @@ class _TableWalk:
             g = np.searchsorted(self.levels, uniform[crowded], "right")
             symbols[crowded] = self.symbol[k[crowded], g]
         table, x = self.table, self.x
-        states = [x := table[x][s] for s in symbols.tolist()]
+        symbols = symbols.tobytes() if symbols.dtype == np.uint8 else symbols.tolist()
+        states = [x := table[x][s] for s in symbols]
         dim = len(table)  # up to 256 states fit a byte, the fastest way into numpy
         states = np.frombuffer(bytearray(states), np.uint8) if dim <= 256 else np.array(states)
         # Counted as _WeightWalk counts: a uniform proposal of x itself too.

@@ -677,6 +677,26 @@ def test_table_walk_above_256_states():
     assert_table_steps_like_the_scalar_rule(weights.tolist(), 9, 3000, 1504)
 
 
+@pytest.mark.parametrize("dim, dtype", [(15, np.uint8), (16, np.intp)])
+@pytest.mark.parametrize("case", ["clustered", "zero-start"])
+def test_table_walk_reads_symbols_as_bytes_up_to_256(case, dim, dtype):
+    # Uniform proposals have dim * (dim + 1) symbols: 240 fit a byte and are
+    # read as bytes, 272 do not and are read as a list.
+    rng = np.random.default_rng([1505, dim])
+    weights = np.resize(TABLE_STEP_CASES[case](rng, dim), dim).tolist()
+    walk = sampler._TableWalk(np.array(weights), 0)
+    assert walk.symbol.dtype == dtype
+    uniform, hits = assert_table_steps_like_the_scalar_rule(weights, 0, 3000, 1506)
+    assert hits > 0
+    if case == "clustered":  # some steps take the crowded-bucket fix-up
+        assert walk.crowded[(np.array(uniform) * 4096).astype(np.intp)].any()
+
+
+def test_table_walk_reads_bytes_on_sixteen_states_under_bit_flips():
+    # thermal_chain's chains: 4 * 17 = 68 symbols.
+    assert sampler._TableWalk(np.linspace(1.0, 2.0, 16), 4).symbol.dtype == np.uint8
+
+
 @pytest.mark.parametrize("proposal", ["uniform", "single-bit-flip"])
 def test_walks_overflow_silently(monkeypatch, proposal):
     # A zero start next to 1e300 and subnormal neighbours: the table's ratio
