@@ -44,9 +44,11 @@ BLOCK_STEPS = 4096
 
 _LOW32 = 0xFFFFFFFF
 
-# Equal buckets of [0, 1) through which _TableWalk ranks its uniforms; a
-# uniform times a power of two up to 2**53 is exact.
-_BUCKETS = 4096
+# Equal buckets of [0, 1) through which _TableWalk ranks its uniforms. A
+# uniform (w >> 11) * 2**-53 lies in bucket w >> (64 - _BUCKET_BITS) of its
+# word w, exactly floor(u * _BUCKETS).
+_BUCKET_BITS = 12
+_BUCKETS = 2 ** _BUCKET_BITS
 
 # Most entries a _TableWalk's table may have: a tuple slot of 8 bytes each, plus
 # about 28 for its int above 256 states, where Python does not share them.
@@ -200,9 +202,10 @@ class _DrawStream:
     half of the last split word if there is one, else the low half of a fresh
     word, whose high half is buffered; its value is (v * n) >> 32, and
     integers(0, 1) draws nothing. random() takes a whole word w and returns
-    (w >> 11) * 2**-53. take decodes the raw words of a block in which numpy
-    rejects no half, that is (v * n) mod 2**32 >= 2**32 % n for every v
-    (Lemire); numpy's own scalar calls draw a block with a rejection.
+    (w >> 11) * 2**-53; take hands out the word itself. take decodes the raw
+    words of a block in which numpy rejects no half, that is
+    (v * n) mod 2**32 >= 2**32 % n for every v (Lemire); numpy's own scalar
+    calls draw a block with a rejection.
     """
 
     def __init__(self, rng: np.random.Generator, n: int):
@@ -213,9 +216,10 @@ class _DrawStream:
         self._half = None  # buffered high half, as PCG64's has_uint32
 
     def take(self, k: int):
-        """The next k (proposal index, uniform) draws as two arrays."""
+        """The next k draws: the proposal indices as np.intp and the
+        uniforms as their uint64 words."""
         if self._n == 1:
-            return np.zeros(k, dtype=np.uint64), _uniforms(self._raw(k))
+            return np.zeros(k, dtype=np.intp), self._raw(k)
         # Without rejections the words run [U] S U U S U U ... [S U]: the
         # leading U serves a step whose proposal is the buffered half, and
         # each split word S feeds the proposals of the two steps after it.
@@ -223,17 +227,18 @@ class _DrawStream:
         lead = int(start_half is not None)
         m = k - lead
         words = self._raw(k + (m + 1) // 2)
-        split = words[lead::3]
-        halves = np.empty(k, np.uint64)
+        # The split words' halves in step order, low then high: a
+        # little-endian copy read as 32-bit halves, on any host.
+        split = words[lead::3].astype("<u8").view("<u4")
+        scaled = np.empty(k, np.uint64)
         uniform = np.empty(k, np.uint64)
         if lead:
-            halves[0], uniform[0] = start_half, words[0]
-        halves[lead::2] = split & _LOW32
-        halves[lead + 1::2] = split[:m // 2] >> np.uint64(32)
+            scaled[0], uniform[0] = start_half, words[0]
+        scaled[lead:] = split[:m]
         uniform[lead::2] = words[lead + 1::3]
         uniform[lead + 1::2] = words[lead + 2::3]
-        self._half = int(split[-1] >> np.uint64(32)) if m % 2 else None
-        scaled = halves * np.uint64(self._n)
+        self._half = int(split[m]) if m % 2 else None
+        scaled *= np.uint64(self._n)
         if self._threshold and ((scaled & _LOW32) < self._threshold).any():
             # A rejection (about 1e-9 per draw) shifts every later draw:
             # rewind the block's words and let numpy draw it step by step,
@@ -247,12 +252,10 @@ class _DrawStream:
             state = bits.state
             self._half = state["uinteger"] if state["has_uint32"] else None
             props, uniform = zip(*draws)
-            return np.array(props, np.uint64), np.array(uniform)
-        return scaled >> np.uint64(32), _uniforms(uniform)
-
-
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    return (words >> np.uint64(11)) * 2.0 ** -53
+            # Exact: each of numpy's uniforms is a multiple of 2**-53.
+            words = (np.array(uniform) * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+            return np.array(props, np.intp), words
+        return (scaled >> np.uint64(32)).astype(np.intp), uniform
 
 
 def run_chain(weights, config: ChainConfig) -> ChainRun:
@@ -349,14 +352,15 @@ class _WeightWalk:
         self.w, self.n_bits = weights, n_bits  # n_bits 0: uniform
         self.x = self.n_accepted = 0
 
-    def advance(self, props: np.ndarray, uniform: np.ndarray) -> list:
+    def advance(self, props: np.ndarray, words: np.ndarray) -> list:
         """Take one step per draw; the state after each step, in order."""
         w, x, n_accepted = self.w, self.x, self.n_accepted
         wx = w[x] or _SMALLEST_FLOAT
+        uniform = (words >> np.uint64(11)) * 2.0 ** -53
         states = []
         append = states.append
         if self.n_bits:
-            for flip, u in zip((np.uint64(1) << props).tolist(), uniform.tolist()):
+            for flip, u in zip((1 << props).tolist(), uniform.tolist()):
                 y = x ^ flip
                 if u < w[y] / wx:
                     x = y
@@ -392,13 +396,22 @@ class _TableWalk:
     maps, symbol k * (dim + 1) + r, and table[x][symbol] is the next state.
 
     A uniform's rank g among the distinct ratios below 1 (levels) is read
-    from its bucket floor(u * _BUCKETS), exact for every uniform, unless a
-    level lies inside that bucket; symbol[k, g] is then the step's symbol.
-    Up to 256 symbols fit a byte, and the walk then reads them as bytes, the
-    fastest way out of numpy; more are read as a list. Both take the same steps.
+    from its bucket floor(u * _BUCKETS), the top bits of its word, unless a
+    level lies inside that bucket; only then is u made, and symbol[k, g] is
+    the step's symbol. Up to 256 symbols fit a byte, and the walk then reads
+    them as bytes, the fastest way out of numpy; more are read as a list.
+    Both take the same steps.
+
+    Acceptances are counted as _WeightWalk counts them: the steps that move
+    x, plus, under uniform proposals, the proposals of x itself at a
+    positive weight (u < 1 = ratio). Under uniform proposals these are the
+    steps that end on their proposal, less the start's proposals of itself
+    while it holds a zero weight (u < 0 fails); only state 0 can, and once
+    left it is never entered again.
     """
 
-    __slots__ = ("ratio", "table", "symbol", "levels", "by_bucket", "crowded", "x", "n_accepted")
+    __slots__ = ("n_bits", "zero_start", "table", "symbol", "levels", "by_bucket", "crowded", "x",
+                 "n_accepted")
 
     def __init__(self, weights: np.ndarray, n_bits: int):
         dim = weights.size
@@ -409,7 +422,7 @@ class _TableWalk:
             target = np.broadcast_to(states[:, None], (dim, dim))
         with np.errstate(over="ignore"):  # as the Python division overflows to inf
             ratio = weights[target] / np.where(weights > 0, weights, _SMALLEST_FLOAT)
-        self.ratio = ratio.ravel()  # [k * dim + x]
+        self.n_bits, self.zero_start = n_bits, not weights[0] > 0  # -0.0 too
         self.levels = levels = np.unique(ratio[ratio < 1])
         ordered = np.sort(ratio, axis=1)
         # rank[k, g]: proposal k's ratios <= levels[g - 1], and 0 for g = 0
@@ -429,23 +442,28 @@ class _TableWalk:
         self.crowded[scaled[scaled != np.floor(scaled)].astype(np.intp)] = True
         self.x = self.n_accepted = 0
 
-    def advance(self, props: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    def advance(self, props: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Take one step per draw; the state after each step, in order."""
-        k = props.astype(np.intp)
-        bucket = (uniform * _BUCKETS).astype(np.intp)
-        symbols = self.by_bucket[k * _BUCKETS + bucket]
-        crowded = self.crowded[bucket]
-        if crowded.any():
-            g = np.searchsorted(self.levels, uniform[crowded], "right")
-            symbols[crowded] = self.symbol[k[crowded], g]
+        bucket = (words >> np.uint64(64 - _BUCKET_BITS)).astype(np.intp)
+        symbols = self.by_bucket.take(props * _BUCKETS + bucket)
+        crowded = self.crowded.take(bucket).nonzero()[0]
+        if crowded.size:
+            uniform = (words.take(crowded) >> np.uint64(11)) * 2.0 ** -53
+            g = np.searchsorted(self.levels, uniform, "right")
+            symbols[crowded] = self.symbol.take(props.take(crowded) * self.symbol.shape[1] + g)
         table, x = self.table, self.x
         symbols = symbols.tobytes() if symbols.dtype == np.uint8 else symbols.tolist()
         states = [x := table[x][s] for s in symbols]
         dim = len(table)  # up to 256 states fit a byte, the fastest way into numpy
         states = np.frombuffer(bytearray(states), np.uint8) if dim <= 256 else np.array(states)
-        # Counted as _WeightWalk counts: a uniform proposal of x itself too.
-        before = np.concatenate(([self.x], states[:-1]))
-        self.n_accepted += int(np.count_nonzero(uniform < self.ratio[k * dim + before]))
+        if self.n_bits:  # an accepted flip moves x
+            accepted = np.count_nonzero(states[1:] != states[:-1]) + (states[0] != self.x)
+        else:
+            landed = states == props
+            accepted = np.count_nonzero(landed)
+            if self.zero_start:  # whose self-proposals are refused
+                accepted -= np.count_nonzero(landed & (states == 0))
+        self.n_accepted += int(accepted)
         self.x = x
         return states
 

@@ -467,6 +467,10 @@ def weight_cases(dim, rng):
         ("positive", positive),
         ("zeros", zeros),
         ("mod-5", np.arange(dim) % 5 + 1.0),
+        # Only state dim // 2, a bit flip from the start, has weight: a
+        # uniform chain proposes its zero start to itself about as often as
+        # it leaves, and then proposes that state to itself.
+        ("one-positive", np.eye(dim)[dim // 2]),
     ]
 
 
@@ -586,46 +590,56 @@ def scalar_steps(weights, n_bits: int, props, uniform, x: int = 0):
     return states, accepted
 
 
-def edge_uniforms(ratio: float, rng) -> list:
-    """Uniforms in [0, 1) at and around a ratio, at and around the edges of
-    the 1/4096 buckets next to it, and one at random."""
+def uniform_of(word: int) -> float:
+    """numpy's random() of a raw generator word."""
+    return (word >> 11) * 2.0 ** -53
+
+
+def edge_words(ratio: float, rng) -> list:
+    """Raw words of drawable uniforms (multiples of 2**-53 in [0, 1)): the
+    one at or below a ratio and each edge of the 1/4096 buckets next to it,
+    with its two neighbours, and one word at random. No other uniform can
+    reach the walk. The low 11 bits, which random() drops, are random."""
     near = [ratio]
     if 0 <= ratio < 1:
         near += [np.floor(ratio * 4096) / 4096, np.ceil(ratio * 4096) / 4096]
     near.append(int(rng.integers(4096)) / 4096)
-    out = [float(rng.random())]
+    out = [int(rng.integers(2 ** 64, dtype=np.uint64))]
     for v in near:
-        out += [v, np.nextafter(v, 0.0), np.nextafter(v, 1.0)]
-    return [u for u in out if 0.0 <= u < 1.0]
+        j = min(int(min(v, 1.0) * 2 ** 53), 2 ** 53 - 1)  # the multiple at or below v
+        out += [(i << 11) | int(rng.integers(2 ** 11)) for i in (j - 1, j, j + 1) if 0 <= i < 2 ** 53]
+    return out
 
 
 def hand_picked_draws(weights, n_bits: int, n_steps: int, seed: int):
-    """Proposals at random and, at each step, a uniform picked from
-    edge_uniforms of the ratio that step reads; also how many uniforms equal
-    that ratio."""
+    """Proposals at random and, at each step, a word picked from edge_words
+    of the ratio that step reads; also how many uniforms are the smallest
+    drawable value at or above that ratio (the ratio itself when it is
+    drawable)."""
     w = [float(v) for v in weights]
     rng = np.random.default_rng(seed)
     n_choices = n_bits or len(w)
-    x, props, uniform, hits = 0, [], [], 0
+    x, props, words, hits = 0, [], [], 0
     for _ in range(n_steps):
         k = int(rng.integers(n_choices))
         y = x ^ (1 << k) if n_bits else k
         ratio = w[y] / (w[x] or 5e-324)
-        u = float(rng.choice(edge_uniforms(ratio, rng)))
+        word = int(rng.choice(np.array(edge_words(ratio, rng), np.uint64)))
         props.append(k)
-        uniform.append(u)
-        hits += u == ratio
-        x = scalar_steps(w, n_bits, [k], [u], x)[0][0]
-    return props, uniform, hits
+        words.append(word)
+        hits += ratio < 1 and word >> 11 == int(np.ceil(ratio * 2 ** 53))
+        x = scalar_steps(w, n_bits, [k], [uniform_of(word)], x)[0][0]
+    return props, words, hits
 
 
 def assert_table_steps_like_the_scalar_rule(weights, n_bits: int, n_steps: int, seed: int):
-    props, uniform, hits = hand_picked_draws(weights, n_bits, n_steps, seed)
+    props, words, hits = hand_picked_draws(weights, n_bits, n_steps, seed)
+    uniform = [uniform_of(word) for word in words]
     want, accepted = scalar_steps(weights, n_bits, props, uniform)
     walk = sampler._TableWalk(np.array(weights, dtype=float), n_bits)
     got = []
     for lo, hi in ((0, 1), (1, n_steps // 2), (n_steps // 2, n_steps)):
-        got += walk.advance(np.array(props[lo:hi], np.uint64), np.array(uniform[lo:hi])).tolist()
+        got += walk.advance(np.array(props[lo:hi], np.intp), np.array(words[lo:hi], np.uint64)).tolist()
     assert got == want
     assert (walk.x, walk.n_accepted) == (want[-1], accepted)
     return uniform, hits
@@ -838,8 +852,8 @@ def test_draw_stream_follows_lemire_rejection(case):
     stream = _DrawStream(blocked, 6)
     got = []
     for k in (2, 3, 4):  # block edges on both buffer parities
-        props, uniform = stream.take(k)
-        got += zip(props.tolist(), uniform.tolist())
+        props, words = stream.take(k)
+        got += zip(props.tolist(), ((words >> np.uint64(11)) * 2.0 ** -53).tolist())
     assert got == want
     assert blocked.bit_generator.state["state"] == scalar.bit_generator.state["state"]
 
@@ -847,8 +861,8 @@ def test_draw_stream_follows_lemire_rejection(case):
 def test_draw_stream_without_draws_for_one_choice():
     scalar = np.random.default_rng(77)
     want = [(int(scalar.integers(0, 1)), scalar.random()) for _ in range(5)]
-    props, uniform = _DrawStream(np.random.default_rng(77), 1).take(5)
-    assert list(zip(props.tolist(), uniform.tolist())) == want
+    props, words = _DrawStream(np.random.default_rng(77), 1).take(5)
+    assert list(zip(props.tolist(), ((words >> np.uint64(11)) * 2.0 ** -53).tolist())) == want
 
 
 def test_ratio_from_weights_rejects_non_finite():
