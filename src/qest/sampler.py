@@ -50,10 +50,6 @@ _LOW32 = 0xFFFFFFFF
 _BUCKET_BITS = 12
 _BUCKETS = 2 ** _BUCKET_BITS
 
-# Most entries a _TableWalk's table may have: a tuple slot of 8 bytes each, plus
-# about 28 for its int above 256 states, where Python does not share them.
-_MAX_TABLE_ENTRIES = 2 ** 22
-
 # The smallest positive float: no positive weight is below it.
 _SMALLEST_FLOAT = 5e-324
 
@@ -274,8 +270,8 @@ def run_chain(weights, config: ChainConfig) -> ChainRun:
     count for single-bit-flip) and then rng.random() for the acceptance test,
     rng = default_rng(config.seed), whether or not the move is taken; the
     draws are decoded a block at a time (see _DrawStream). The steps run on a
-    _TableWalk when _use_table admits its size, else on a _WeightWalk; both
-    take the same steps.
+    _TableWalk when _use_table admits its symbol count, else on a
+    _WeightWalk; both take the same steps.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -291,11 +287,14 @@ def run_chain(weights, config: ChainConfig) -> ChainRun:
     if n_bits and not w.all():  # a uniform proposal joins every pair of states
         _check_flip_reach(w > 0, n_bits)
     total = config.burn_in + config.n_steps * config.thinning
-    if _use_table(n_bits or dim, dim, total):
-        walk = _TableWalk(w, n_bits)
-    else:
-        walk = _WeightWalk(w.tolist(), n_bits)
-    draws = _DrawStream(np.random.default_rng(config.seed), n_bits or dim)
+    n_choices = n_bits or dim
+    walk = None
+    if _use_table(n_choices, dim, total):  # a chain has at least n_choices symbols
+        target, ratio = _step_ratios(w, n_bits)
+        if _use_table(np.count_nonzero(ratio < 1) + n_choices, dim, total):
+            walk = _TableWalk(w, n_bits, target, ratio)
+    walk = walk or _WeightWalk(w.tolist(), n_bits)
+    draws = _DrawStream(np.random.default_rng(config.seed), n_choices)
 
     samples = np.empty(config.n_steps, np.intp)
     filled = 0
@@ -378,29 +377,39 @@ class _WeightWalk:
         return states
 
 
-def _use_table(n_choices: int, dim: int, total: int) -> bool:
-    """Whether a chain of total steps runs on a _TableWalk: its table has
-    n_choices * (dim + 1) * dim entries and costs O(n_choices * dim^2) to
-    build, so it pays only for at least that many steps, and its memory is
-    capped at _MAX_TABLE_ENTRIES."""
-    return n_choices * (dim + 1) * dim <= min(total, _MAX_TABLE_ENTRIES)
+def _use_table(n_symbols: int, dim: int, total: int) -> bool:
+    """Whether a chain of total steps runs on a _TableWalk of n_symbols step
+    symbols: its n_symbols * dim entries pay only for at least that many
+    steps, and its symbols and states must each fit a byte."""
+    return max(n_symbols, dim) <= 256 and n_symbols * dim <= total
+
+
+def _step_ratios(weights: np.ndarray, n_bits: int):
+    """target[k, x], the state proposal k offers x, and ratio[k, x], as _WeightWalk divides."""
+    states = np.arange(weights.size)
+    if n_bits:
+        target = states ^ (1 << np.arange(n_bits))[:, None]
+    else:
+        target = np.broadcast_to(states[:, None], (states.size, states.size))
+    with np.errstate(over="ignore"):  # as the Python division overflows to inf
+        ratio = weights[target] / np.where(weights > 0, weights, _SMALLEST_FLOAT)
+    return target, ratio
 
 
 class _TableWalk:
     """The steps of _WeightWalk as lookups in a table of the chain's maps.
 
     State x moves under proposal k and uniform u exactly when
-    u < ratio[k, x], with the ratios _WeightWalk divides. That depends on u
-    only through r = #(proposal k's ratios <= u): x moves when at least r of
-    them are below ratio[k, x]. So a step is one of n_choices * (dim + 1)
-    maps, symbol k * (dim + 1) + r, and table[x][symbol] is the next state.
+    u < ratio[k, x] (see _step_ratios). That depends on u only through
+    r = #(proposal k's ratios <= u), which runs from 0 to n_k, its ratios
+    below 1: x moves when at least r of them are below ratio[k, x]. So a step
+    is one of the maps numbered proposal by proposal, symbol first[k] + r, and
+    table[x][symbol] is the next state. Symbols and states fit a byte
+    (_use_table), the fastest form out of and into numpy.
 
-    A uniform's rank g among the distinct ratios below 1 (levels) is read
-    from its bucket floor(u * _BUCKETS), the top bits of its word, unless a
-    level lies inside that bucket; only then is u made, and symbol[k, g] is
-    the step's symbol. Up to 256 symbols fit a byte, and the walk then reads
-    them as bytes, the fastest way out of numpy; more are read as a list.
-    Both take the same steps.
+    A uniform's rank g among the distinct ratios below 1 (levels), and so
+    its step's symbol[k, g], is read from its bucket floor(u * _BUCKETS), its
+    word's top bits, unless a level lies inside that bucket; only then is u made.
 
     Acceptances are counted as _WeightWalk counts them: the steps that move
     x, plus, under uniform proposals, the proposals of x itself at a
@@ -413,26 +422,20 @@ class _TableWalk:
     __slots__ = ("n_bits", "zero_start", "table", "symbol", "levels", "by_bucket", "crowded", "x",
                  "n_accepted")
 
-    def __init__(self, weights: np.ndarray, n_bits: int):
-        dim = weights.size
-        states = np.arange(dim)
-        if n_bits:
-            target = states ^ (1 << np.arange(n_bits))[:, None]  # [k, x]
-        else:
-            target = np.broadcast_to(states[:, None], (dim, dim))
-        with np.errstate(over="ignore"):  # as the Python division overflows to inf
-            ratio = weights[target] / np.where(weights > 0, weights, _SMALLEST_FLOAT)
+    def __init__(self, weights: np.ndarray, n_bits: int, target: np.ndarray, ratio: np.ndarray):
         self.n_bits, self.zero_start = n_bits, not weights[0] > 0  # -0.0 too
         self.levels = levels = np.unique(ratio[ratio < 1])
         ordered = np.sort(ratio, axis=1)
         # rank[k, g]: proposal k's ratios <= levels[g - 1], and 0 for g = 0
         rank = np.array([np.searchsorted(r, np.append(-1.0, levels), "right") for r in ordered])
         below = np.array([np.searchsorted(r, v) for r, v in zip(ordered, ratio)])  # ratios < ratio[k, x]
-        moved = below.T[:, :, None] >= np.arange(dim + 1)
-        table = np.where(moved, target.T[:, :, None], states[:, None, None]).reshape(dim, -1)
+        width = rank[:, -1] + 1  # n_k + 1, as every ratio below 1 is a level
+        first = np.cumsum(width) - width
+        k = np.repeat(np.arange(len(ratio)), width)  # each symbol's proposal
+        moved = below[k] >= (np.arange(k.size) - first[k])[:, None]  # [symbol, x]
+        table = np.where(moved, target[k], np.arange(weights.size)).T
         self.table = list(map(tuple, table.tolist()))  # tuple rows index fastest
-        symbol = rank + (dim + 1) * np.arange(len(ratio))[:, None]
-        self.symbol = symbol.astype(np.uint8 if len(ratio) * (dim + 1) <= 256 else np.intp)
+        self.symbol = (rank + first[:, None]).astype(np.uint8)
         scaled = levels * _BUCKETS  # exact, as _BUCKETS is a power of two
         # edges[b]: the levels <= b / _BUCKETS, those with ceil(scaled) <= b
         edges = np.bincount(np.ceil(scaled).astype(np.intp), minlength=_BUCKETS + 1)
@@ -452,10 +455,7 @@ class _TableWalk:
             g = np.searchsorted(self.levels, uniform, "right")
             symbols[crowded] = self.symbol.take(props.take(crowded) * self.symbol.shape[1] + g)
         table, x = self.table, self.x
-        symbols = symbols.tobytes() if symbols.dtype == np.uint8 else symbols.tolist()
-        states = [x := table[x][s] for s in symbols]
-        dim = len(table)  # up to 256 states fit a byte, the fastest way into numpy
-        states = np.frombuffer(bytearray(states), np.uint8) if dim <= 256 else np.array(states)
+        states = np.frombuffer(bytearray([x := table[x][s] for s in symbols.tobytes()]), np.uint8)
         if self.n_bits:  # an accepted flip moves x
             accepted = np.count_nonzero(states[1:] != states[:-1]) + (states[0] != self.x)
         else:

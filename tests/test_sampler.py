@@ -516,27 +516,50 @@ WALKS = {"table": sampler._TableWalk, "weights": sampler._WeightWalk}
 
 def force_walk(monkeypatch, walk: str) -> list:
     """Make run_chain take the named walk whatever the sizes; the walks it
-    builds are recorded in the returned list."""
+    builds are recorded in the returned list. Force the table only where
+    table_fits."""
     monkeypatch.setattr(sampler, "_use_table", lambda *sizes: walk == "table")
     return record_walks(monkeypatch)
 
 
-def record_walks(monkeypatch) -> list:
+def record_walks(monkeypatch, walks=None) -> list:
+    """The names of the walks run_chain builds, in order; the walks
+    themselves are appended to walks, if given."""
     built = []
     for name, cls in WALKS.items():
         def init(self, *args, cls=cls, name=name):
             built.append(name)
             cls.__init__(self, *args)
+            if walks is not None:
+                walks.append(self)
 
         monkeypatch.setattr(sampler, cls.__name__, type(cls.__name__, (cls,), {"__init__": init}))
     return built
 
 
+def step_symbols(weights, n_bits: int) -> int:
+    """A step table's symbols by the scalar rule: each proposal has one, plus
+    one per state whose ratio under it is below 1."""
+    w = [float(v) for v in weights]
+    targets = [[x ^ (1 << k) if n_bits else k for x in range(len(w))] for k in range(n_bits or len(w))]
+    return sum(1 + sum(w[y] / (w[x] or 5e-324) < 1 for x, y in enumerate(ys)) for ys in targets)
+
+
+def table_fits(weights, proposal: str) -> bool:
+    """Whether the step table of weights can be built: at most 256 states
+    and 256 symbols, each read as a byte."""
+    n_bits = _bit_count(len(weights)) if proposal == "single-bit-flip" else 0
+    return len(weights) <= 256 and step_symbols(weights, n_bits) <= 256
+
+
 def assert_both_walks_match_the_oracle(monkeypatch, weights, cfg):
-    """Each walk, forced whatever the sizes, against reference_outcome."""
+    """Each walk, forced whatever the sizes, against reference_outcome; the
+    table only where table_fits."""
     with np.errstate(over="ignore"):
         want = reference_outcome(weights, cfg)
     for walk in sorted(WALKS):
+        if walk == "table" and not table_fits(weights, cfg.proposal):
+            continue
         built = force_walk(monkeypatch, walk)
         assert outcome(run_chain, weights, cfg) == want, (walk, cfg)
         assert built == [walk] or want[0] is SamplerError, (walk, built)
@@ -562,18 +585,89 @@ def test_both_walks_on_one_state(monkeypatch):
     [("single-bit-flip", 16, 4), ("uniform", 8, 8), ("uniform", 1, 1), ("single-bit-flip", 64, 6)],
 )
 def test_size_rule_picks_the_table_from_its_entry_count(monkeypatch, proposal, dim, n_choices):
-    # The table has n_choices * (dim + 1) * dim entries: 1088, 576, 2, 24960.
-    entries = n_choices * (dim + 1) * dim
+    # The table has a row per state and a column per symbol. With distinct
+    # weights each proposal has one symbol, plus one per ratio below 1: half
+    # of its ratios that are not 1. So 576, 288, 1 and 12672 entries.
     weights = np.linspace(1.0, 2.0, dim)
+    n_symbols = n_choices + (n_choices * dim - (dim if proposal == "uniform" else 0)) // 2
+    assert n_symbols == step_symbols(weights, n_choices if proposal == "single-bit-flip" else 0)
+    entries = n_symbols * dim
     for total, want in ((entries, "table"), (entries - 1, "weights"), (entries + 1, "table")):
+        if total < 1:  # a one-state chain takes the table at any length
+            continue
         built = record_walks(monkeypatch)
         run_chain(weights, ChainConfig(1, 5, proposal, burn_in=total - 1))
         assert built == [want], total
-    # The 3000-step chain of a 64-state `mean --mode shots` reads the weights.
-    assert sampler._use_table(6, 64, 3000) is False
-    # The cap on the table's size: 10 * 1025 * 1024 entries, above 2**22.
-    assert sampler._use_table(10, 1024, MAX_CHAIN_STEPS) is False
-    assert sampler._use_table(9, 512, 9 * 513 * 512) is True
+    # thermal_chain's N_S = 16 chains (5e4 samples after 1000 steps of
+    # burn-in) take the table; the 3000-step chain of a 64-state
+    # `mean --mode shots` (circuit_table) reads the weights.
+    rng = np.random.default_rng(1509)
+    for n_states, total, want in ((16, 51000, "table"), (64, 3000, "weights")):
+        built = record_walks(monkeypatch)
+        run_chain(rng.random(n_states), ChainConfig(total - 1000, 5))
+        assert built == [want], n_states
+    # Symbols and states must each fit a byte, whatever the run length.
+    assert sampler._use_table(256, 256, 256 * 256) is True
+    assert sampler._use_table(257, 16, MAX_CHAIN_STEPS) is False
+    assert sampler._use_table(9, 512, MAX_CHAIN_STEPS) is False
+
+
+def test_sixteen_uniform_proposals_with_one_positive_weight_take_the_table(monkeypatch):
+    # 15 zero-weight proposals, each with 16 ratios of 0 (17 symbols), and the
+    # positive one with none below 1 (1 symbol): 256 symbols, the most a
+    # uniform chain over 16 states can have. Runs of 256 * 16 steps take it.
+    weights = np.eye(16)[8]
+    assert step_symbols(weights, 0) == 256
+    for total, want in ((4095, "weights"), (4096, "table"), (20000, "table")):
+        cfg = ChainConfig(300, 31, "uniform", total - 300)
+        built = record_walks(monkeypatch)
+        assert outcome(run_chain, weights, cfg) == reference_outcome(weights, cfg)
+        assert built == [want], total
+
+
+def test_bit_flips_over_sixty_four_states_with_one_positive_weight_read_the_weights(monkeypatch):
+    # Each of the 6 proposals has 63 ratios of 0 and one of inf: 6 * 64 = 384
+    # symbols, more than a byte holds, so no run length takes the table.
+    weights = np.eye(64)[32]
+    assert step_symbols(weights, 6) == 384
+    assert sampler._use_table(384, 64, MAX_CHAIN_STEPS) is False
+    for total in (384 * 64, 2 * 384 * 64):
+        cfg = ChainConfig(300, 32, "single-bit-flip", total - 300)
+        built = record_walks(monkeypatch)
+        assert outcome(run_chain, weights, cfg) == reference_outcome(weights, cfg)
+        assert built == ["weights"], total
+
+
+def test_every_table_the_rule_admits_fits_a_byte(monkeypatch):
+    # At 2**16 steps the rule admits every table of at most 256 symbols over
+    # at most 256 states (256 * 256 entries) and no other. Equal weights have
+    # one symbol per proposal: 256 over 256 uniform states, 9 over 512.
+    rng = np.random.default_rng(1510)
+    cases = [("uniform", d) for d in (2, 16, 22, 23, 32, 64, 256)]
+    cases += [("single-bit-flip", d) for d in (2, 16, 64, 128, 256, 512)]
+    admitted = 0
+    for proposal, dim in cases:
+        n_bits = _bit_count(dim) if proposal == "single-bit-flip" else 0
+        for name, weights in weight_cases(dim, rng) + [("equal", np.ones(dim))]:
+            if reference_stranded(weights, proposal) is not None:
+                continue
+            walks = []
+            built = record_walks(monkeypatch, walks)
+            run_chain(weights, ChainConfig(1, 5, proposal, burn_in=2 ** 16 - 1))
+            n_symbols = step_symbols(weights, n_bits)
+            fits = dim <= 256 and n_symbols <= 256
+            assert built == ["table" if fits else "weights"], (proposal, dim, name)
+            if fits:
+                table = walks[0].table
+                assert len(table) == dim and {len(row) for row in table} == {n_symbols}
+                admitted += 1
+    assert admitted > 0
+
+
+def table_walk(weights, n_bits: int):
+    """The _TableWalk that run_chain builds for weights."""
+    w = np.array(weights, dtype=float)
+    return sampler._TableWalk(w, n_bits, *sampler._step_ratios(w, n_bits))
 
 
 def scalar_steps(weights, n_bits: int, props, uniform, x: int = 0):
@@ -636,7 +730,7 @@ def assert_table_steps_like_the_scalar_rule(weights, n_bits: int, n_steps: int, 
     props, words, hits = hand_picked_draws(weights, n_bits, n_steps, seed)
     uniform = [uniform_of(word) for word in words]
     want, accepted = scalar_steps(weights, n_bits, props, uniform)
-    walk = sampler._TableWalk(np.array(weights, dtype=float), n_bits)
+    walk = table_walk(weights, n_bits)
     got = []
     for lo, hi in ((0, 1), (1, n_steps // 2), (n_steps // 2, n_steps)):
         got += walk.advance(np.array(props[lo:hi], np.intp), np.array(words[lo:hi], np.uint64)).tolist()
@@ -682,24 +776,16 @@ def test_table_walk_on_one_state():
         assert_table_steps_like_the_scalar_rule(weights, 0, 200, 1502)
 
 
-def test_table_walk_above_256_states():
-    # 512 states under single-bit-flip: the states leave the walk through
-    # np.array rather than as bytes.
-    weights = np.random.default_rng(1503).random(512) ** 3
-    weights[::7] = 0.0
-    weights[0] = 0.0
-    assert_table_steps_like_the_scalar_rule(weights.tolist(), 9, 3000, 1504)
-
-
-@pytest.mark.parametrize("dim, dtype", [(15, np.uint8), (16, np.intp)])
+@pytest.mark.parametrize("dim, dtype", [(15, np.uint8), (16, np.uint8)])
 @pytest.mark.parametrize("case", ["clustered", "zero-start"])
 def test_table_walk_reads_symbols_as_bytes_up_to_256(case, dim, dtype):
-    # Uniform proposals have dim * (dim + 1) symbols: 240 fit a byte and are
-    # read as bytes, 272 do not and are read as a list.
+    # Uniform proposals over at most 16 states have at most 256 symbols,
+    # numbered proposal by proposal, and are read as bytes.
     rng = np.random.default_rng([1505, dim])
     weights = np.resize(TABLE_STEP_CASES[case](rng, dim), dim).tolist()
-    walk = sampler._TableWalk(np.array(weights), 0)
+    walk = table_walk(weights, 0)
     assert walk.symbol.dtype == dtype
+    assert walk.symbol.max() < len(walk.table[0]) == step_symbols(weights, 0) <= 256
     uniform, hits = assert_table_steps_like_the_scalar_rule(weights, 0, 3000, 1506)
     assert hits > 0
     if case == "clustered":  # some steps take the crowded-bucket fix-up
@@ -707,8 +793,10 @@ def test_table_walk_reads_symbols_as_bytes_up_to_256(case, dim, dtype):
 
 
 def test_table_walk_reads_bytes_on_sixteen_states_under_bit_flips():
-    # thermal_chain's chains: 4 * 17 = 68 symbols.
-    assert sampler._TableWalk(np.linspace(1.0, 2.0, 16), 4).symbol.dtype == np.uint8
+    # thermal_chain's chains: 4 * 8 + 4 = 36 symbols for distinct weights.
+    walk = table_walk(np.linspace(1.0, 2.0, 16), 4)
+    assert walk.symbol.dtype == np.uint8
+    assert len(walk.table[0]) == 36
 
 
 @pytest.mark.parametrize("proposal", ["uniform", "single-bit-flip"])
